@@ -51,6 +51,7 @@ from .cycles import (
 from .errors import (
     CollatzLabError,
     DomainError,
+    IdentityViolation,
     InvalidPolyline,
     LimitExceeded,
     PatternMismatch,
@@ -98,6 +99,7 @@ __all__ = [
     "CycleCandidate",
     "CycleSolution",
     "DomainError",
+    "IdentityViolation",
     "InvalidPolyline",
     "LimitExceeded",
     "PatternMismatch",

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .beta_chain import chain_path, solve_beta_chain, v2
+from .core import DEFAULT_STEP_LIMIT
 from .errors import DomainError, LimitExceeded
 
 __all__ = [
@@ -233,15 +234,29 @@ def closed_form_k(k0, m_seq: Sequence[int], e_seq: Sequence[int]) -> Fraction:
     return total
 
 
-def block_counterexample(k0: int) -> tuple[str, str] | None:
-    """Sweep-grade check of the full decomposition from k0 down to the
-    trivial block: every block must balance the integer recurrence and the
+def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:
+    """Sweep-grade check of the blocks from k0 until the walk first lands
+    below its start: every block must balance the integer recurrence and the
     concatenated block paths must equal the raw trajectory of 4*k0 + 2,
-    value for value and class for class.  None when all of it holds."""
+    value for value and class for class, all within ``step_limit`` raw
+    steps.  None when all of it holds.
+
+    Induction premise: the walk stops after the first block with
+    k_out < k0, or after the trivial block when k0 = 0.  The rest of the
+    full decomposition is exactly the walk from k_out, which a sweep over a
+    range that starts at 0 checks as an input of its own, so the sweep
+    checks the same blocks as full walks down to the trivial block would.
+    ``decompose_until_trivial`` still gives the full walk.
+    """
+    floor = max(k0, 1)  # k0 = 0 stops after the trivial block (k_out = 0)
     k = k0
     v = 4 * k0 + 2
-    for _ in range(10**6):
+    steps = 0
+    while True:
         b = make_block(k)
+        if steps + b.steps > step_limit:
+            return ("a block below the start within the step limit", f"still at k={k}")
+        steps += b.steps
         if not recurrence_holds(b):
             return ("block recurrence balance", f"violated at {b}")
         path = block_path(b)
@@ -254,9 +269,8 @@ def block_counterexample(k0: int) -> tuple[str, str] | None:
             if i < len(path) - 1:
                 v = 3 * v + 1 if v & 1 else v >> 1
         k = b.k_out
-        if k == 0:
+        if k < floor:
             return None
-    return ("arrival at the trivial block", f"still k={k} after 10^6 blocks")
 
 
 def _expected_residue(b: Block, i: int) -> int:

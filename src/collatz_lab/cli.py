@@ -89,7 +89,12 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("transitions", "beta-chain", "blocks", "polyline", "convergence"),
     )
     p.add_argument("--max", type=_positive, required=True, dest="max_value")
-    p.add_argument("--limit", type=_positive, default=DEFAULT_STEP_LIMIT)
+    p.add_argument(
+        "--limit",
+        type=_positive,
+        default=None,
+        help=f"raw-step budget of blocks and convergence (default {DEFAULT_STEP_LIMIT})",
+    )
     p.add_argument("--workers", type=_positive, default=None)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
@@ -146,16 +151,19 @@ def _cmd_polyline(args) -> int:
 
 def _cmd_verify(args) -> int:
     what = args.what
+    if args.limit is not None and what not in ("blocks", "convergence"):
+        raise UsageError(f"--limit does not apply to verify {what}")
+    limit = args.limit or DEFAULT_STEP_LIMIT
     if what == "transitions":
         report = verify_transitions(args.max_value, args.workers)
     elif what == "beta-chain":
         report = verify_beta_chains(args.max_value, args.workers)
     elif what == "blocks":
-        report = verify_blocks(args.max_value, args.workers)
+        report = verify_blocks(args.max_value, args.workers, step_limit=limit)
     elif what == "polyline":
         report = verify_polylines(args.max_value, args.workers)
     else:
-        report = verify_convergence(args.max_value, args.limit, args.workers)
+        report = verify_convergence(args.max_value, limit, args.workers)
     _write(export_report(report, args.format), args.out)
     return 0 if report.passed else 2
 
@@ -260,6 +268,9 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.func(args)
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
     except CollatzLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -23,6 +23,7 @@ simulated_ok=False rather than silently dropped.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 from typing import Iterator, NamedTuple, Sequence
 
 from .blocks import decompose
@@ -189,11 +190,14 @@ def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:
-    """How many candidates search_cycles(n_max, exp_budget) examines."""
+    """How many candidates search_cycles(n_max, exp_budget) examines.
+
+    With e_j - 1 in place of e_j, a length-n list is 2n non-negative
+    integers summing to at most B - n, of which there are
+    C(B - n + 2n, 2n) = C(B + n, 2n); the count is the sum over n.
+    """
     if n_max < 1 or exp_budget < n_max:
         raise DomainError(
             f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
         )
-    return sum(
-        1 for n in range(1, n_max + 1) for _ in _param_lists(n, exp_budget)
-    )
+    return sum(comb(exp_budget + n, 2 * n) for n in range(1, n_max + 1))

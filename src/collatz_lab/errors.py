@@ -28,3 +28,10 @@ class InvalidPolyline(CollatzLabError, ValueError):
 
 class PatternMismatch(CollatzLabError, ValueError):
     """A vertex-count sequence does not fit the requested cycle pattern."""
+
+
+class IdentityViolation(CollatzLabError):
+    """An identity the code relies on failed on a concrete input.
+
+    Raised by explicit checks rather than ``assert``, so that ``python -O``
+    cannot strip it."""

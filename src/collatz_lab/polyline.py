@@ -29,8 +29,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .errors import DomainError, InvalidPolyline, PatternMismatch
-from .residues import ResidueClass
+from .core import step_t
+from .errors import DomainError, IdentityViolation, InvalidPolyline, PatternMismatch
+from .residues import ResidueClass, classify
 
 __all__ = [
     "Polyline",
@@ -95,12 +96,13 @@ def t_closed_form(p: Polyline) -> int:
 
 
 def step_T_polyline(p: Polyline) -> Polyline:
-    """One shortcut step in coordinates, with the step law asserted."""
+    """One shortcut step in coordinates, with the step law checked.
+
+    Raises IdentityViolation when the step law does not balance."""
     _check_valid(p)
     p1 = to_polyline(t_closed_form(p))
-    assert p1.x + p1.s == (p.x + p.s) + p.x - p.x * p.x + p.s * p.s, (
-        f"step law violated at {p}"
-    )
+    if p1.x + p1.s != (p.x + p.s) + p.x - p.x * p.x + p.s * p.s:
+        raise IdentityViolation(f"step law violated at {p}")
     return p1
 
 
@@ -247,9 +249,6 @@ def shape_residual(
 def polyline_counterexample(z: int) -> tuple[str, str] | None:
     """Sweep-grade check at one z: roundtrip, class agreement with classify,
     the closed form against the real shortcut map, and the step law."""
-    from .core import step_t
-    from .residues import classify
-
     p = to_polyline(z)
     if from_polyline(p) != z:
         return (str(z), f"roundtrip gave {from_polyline(p)}")

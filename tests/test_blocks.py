@@ -139,5 +139,50 @@ def test_closed_form_equals_iterated_affine(k0, pairs):
     assert isinstance(ks[-1], Fraction)
 
 
+def _full_walk_counterexample(k0, make=make_block):
+    """Reference: the block check walked all the way down to k = 0."""
+    k, v = k0, 4 * k0 + 2
+    while True:
+        b = make(k)
+        if not recurrence_holds(b):
+            return ("block recurrence balance", f"violated at {b}")
+        path = block_path(b)
+        for i, expect in enumerate(path):
+            if v != expect:
+                return (f"path value {expect} (block k_in={b.k_in}, offset {i})", str(v))
+            if i < len(path) - 1:
+                v = step_c(v)
+        k = b.k_out
+        if k == 0:
+            return None
+
+
 def test_block_counterexample_sweep():
-    assert all(block_counterexample(k) is None for k in range(3000))
+    # The cut-off walk agrees with the full walk down to k = 0.
+    for k0 in range(3001):
+        assert block_counterexample(k0) is None
+        assert _full_walk_counterexample(k0) is None
+
+
+def test_cut_off_walk_flags_a_planted_block_like_the_full_walk(monkeypatch):
+    real = make_block
+
+    # k = 546 lies above the swept range; the walk from 63 passes it
+    # (63 -> 546 -> 102 -> ...) before it first drops below 63.
+    def faulty(k_in):
+        b = real(k_in)
+        return b._replace(k_out=b.k_out + 1) if k_in == 546 else b
+
+    monkeypatch.setattr("collatz_lab.blocks.make_block", faulty)
+    cut = {k0 for k0 in range(100) if block_counterexample(k0) is not None}
+    full = {k0 for k0 in range(100) if _full_walk_counterexample(k0, faulty) is not None}
+    # The cut-off walk flags fewer starts, but never a sweep from 0 less.
+    assert 63 in cut
+    assert cut <= full
+
+
+def test_block_counterexample_step_limit():
+    assert block_counterexample(0, step_limit=3) is None  # 2 -> 1 -> 4 -> 2
+    assert block_counterexample(0, step_limit=2) is not None
+    assert block_counterexample(1, step_limit=7) is None  # 6 -> ... -> 2
+    assert block_counterexample(1, step_limit=6) is not None

@@ -65,6 +65,27 @@ def test_verify_passes_exit_0(capsys):
     assert "checked: 500" in out
 
 
+@pytest.mark.parametrize("what", ["transitions", "beta-chain", "polyline"])
+def test_limit_rejected_where_it_does_not_apply(what, capsys):
+    assert run("verify", what, "--max", "5", "--limit", "1", "--workers", "1") == 1
+    assert "--limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("verify", "blocks", "--max", "30", "--limit", "5"), 2),
+        (("verify", "blocks", "--max", "30"), 0),
+        (("verify", "convergence", "--max", "30", "--limit", "5"), 2),
+        (("verify", "convergence", "--max", "3000"), 0),
+        (("verify", "polyline", "--max", "5"), 0),
+    ],
+)
+def test_limit_applies_to_blocks_and_convergence(argv, code, capsys):
+    assert run(*argv, "--workers", "1") == code
+    assert ("result: FAIL" if code else "result: PASS") in capsys.readouterr().out
+
+
 def test_corrupted_transition_table_exits_2(monkeypatch, capsys):
     def scrambled(c):
         return ClassifiedInt(c.tag, c.k + 1)

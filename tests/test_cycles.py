@@ -138,6 +138,15 @@ def test_search_cycles_n3_budget12():
     assert count_candidates(3, 12) == 6084
 
 
+def test_count_candidates_closed_form_equals_enumeration():
+    for n_max in range(1, 5):
+        for budget in range(n_max, 15):
+            enumerated = sum(
+                1 for n in range(1, n_max + 1) for _ in _param_lists(n, budget)
+            )
+            assert count_candidates(n_max, budget) == enumerated, (n_max, budget)
+
+
 def test_search_guards():
     with pytest.raises(DomainError):
         search_cycles(0, 5)

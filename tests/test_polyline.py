@@ -1,11 +1,16 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collatz_lab
 from collatz_lab.core import step_t, trajectory
-from collatz_lab.errors import DomainError, InvalidPolyline, PatternMismatch
+from collatz_lab.errors import DomainError, IdentityViolation, InvalidPolyline, PatternMismatch
 from collatz_lab.polyline import (
     Polyline,
     class_from_polyline,
@@ -75,6 +80,31 @@ def test_step_spots():
     assert step_T_polyline(Polyline(4, 4)) == Polyline(6, 6)  # 7 -> 11
     assert step_T_polyline(Polyline(6, 5)) == Polyline(3, 3)  # 10 -> 5
     assert step_T_polyline(Polyline(1, 1)) == Polyline(2, 1)  # 1 -> 2
+
+
+def test_step_law_violation_raises(monkeypatch):
+    monkeypatch.setattr("collatz_lab.polyline.t_closed_form", lambda p: 1)
+    with pytest.raises(IdentityViolation, match="step law"):
+        step_T_polyline(Polyline(4, 4))
+
+
+def test_step_law_violation_raises_under_optimize():
+    code = (
+        "import collatz_lab.polyline as P\n"
+        "from collatz_lab.errors import IdentityViolation\n"
+        "P.t_closed_form = lambda p: 1\n"
+        "try:\n"
+        "    P.step_T_polyline(P.Polyline(4, 4))\n"
+        "except IdentityViolation:\n"
+        "    print('raised')\n"
+    )
+    src = str(Path(collatz_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\n"
 
 
 def test_walk_polylines():
