@@ -74,7 +74,6 @@ from .residues import (
     declassify,
     transition_graph,
     transition_symbolic,
-    verify_transition_sweep,
 )
 from .sweeps import (
     resolve_workers,
@@ -147,6 +146,5 @@ __all__ = [
     "verify_convergence",
     "verify_polylines",
     "verify_recurrence",
-    "verify_transition_sweep",
     "verify_transitions",
 ]

@@ -3,34 +3,41 @@
 A trajectory cycle through beta values corresponds to a parameter list
 (m_1, e_1), ..., (m_n, e_n) whose affine block maps compose to a map whose
 fixed point k0 is a non-negative integer *and* whose actual block
-decomposition reproduces exactly those parameters.  Clearing denominators,
-the closure condition k_n = k_0 reads
+decomposition reproduces exactly those parameters.
 
-    k0 * (prod_j 2^(e_j+m_j+1) - prod_j 3^(m_j+1)) = S
+Every closure here rests on one cleared-integer block step.  The state
+(P, T, S) starts at (1, 1, 0), and block (m, e) maps it to
 
-with S the cleared affine constant; the bracket can never vanish because no
-power of 2 equals a power of 3.  For a single block this collapses to
+    (P * 2^(e+m+1),  T * 3^(m+1),  S * 3^(m+1) + c * P),
+    c = 3^(m+1) - 2^m - 2^(e+m).
+
+After n blocks, P and T are the products of the blocks' powers of 2 and 3,
+and the closure condition k_n = k_0 reads
+
+    k0 * (P - T) = S.
+
+The bracket never vanishes because no power of 2 equals a power of 3.  For
+a single block this collapses to
 
     k' = (3^(m+1) - 2^m - 2^(e+m)) / (2^(e+m+1) - 3^(m+1)).
 
-The searches enumerate parameter boxes exhaustively, solve every candidate
-exactly, keep the ones whose fixed point is a non-negative integer, and
-*simulate* each of those against the genuine block decomposition; a formal
-solution that the map itself does not follow is returned with
-simulated_ok=False rather than silently dropped.
+The searches walk parameter boxes exhaustively, depth first, extending the
+parent's state by one block per node.  A node whose integer division
+S / (P - T) is exact and non-negative is *simulated* against the genuine
+block decomposition; a formal solution that the map itself does not follow
+is returned with simulated_ok=False rather than silently dropped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .blocks import decompose
-from .errors import DomainError
+from .errors import DomainError, IdentityViolation
 
 __all__ = [
-    "Degenerate",
     "CycleCandidate",
     "CycleSolution",
     "cycle_k_n1",
@@ -39,22 +46,6 @@ __all__ = [
     "search_cycles",
     "count_candidates",
 ]
-
-
-class Degenerate:
-    """Placeholder for a vanishing cycle denominator.
-
-    The denominator is a difference of a 2-power and a 3-power, so it never
-    vanishes for integer exponents; no public operation ever actually
-    returns this.  It exists so the impossible branch is explicit instead of
-    a bare division blowing up.
-    """
-
-    def __repr__(self) -> str:
-        return "Degenerate"
-
-
-DEGENERATE = Degenerate()
 
 
 class CycleCandidate(NamedTuple):
@@ -74,15 +65,22 @@ class CycleSolution(NamedTuple):
     simulated_ok: bool
 
 
-def cycle_k_n1(m: int, e: int) -> Fraction | Degenerate:
-    """Fixed point of a single formal block with parameters (m, e)."""
-    if m < 0 or e < 1:
-        raise DomainError(f"need m >= 0 and e >= 1, got (m, e) = ({m}, {e})")
-    num = 3 ** (m + 1) - 2**m - 2 ** (e + m)
-    den = 2 ** (e + m + 1) - 3 ** (m + 1)
-    if den == 0:  # unreachable: 2^a = 3^b has no solutions
-        return DEGENERATE
-    return Fraction(num, den)
+State = tuple[int, int, int]
+_START: State = (1, 1, 0)
+
+
+def _extend(state: State, m: int, e: int) -> State:
+    """The cleared state (P, T, S) after one more block (m, e)."""
+    p, t, s = state
+    three = 3 ** (m + 1)
+    return p << (e + m + 1), t * three, s * three + (three - (1 << m) - (1 << (e + m))) * p
+
+
+def _fixed_point(state: State) -> Fraction:
+    p, t, s = state
+    if p == t:
+        raise IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
+    return Fraction(s, p - t)
 
 
 def _validate(c: CycleCandidate) -> None:
@@ -102,36 +100,32 @@ def _simulate(c: CycleCandidate, k0: int) -> bool:
     return blocks[-1].k_out == k0
 
 
+def _hit(pairs: Sequence[tuple[int, int]], k0: int) -> CycleSolution:
+    """The solution for a list whose closure has integer fixed point k0 >= 0."""
+    c = CycleCandidate(tuple(m for m, _ in pairs), tuple(e for _, e in pairs))
+    return CycleSolution(c, Fraction(k0), True, True, _simulate(c, k0))
+
+
+def cycle_k_n1(m: int, e: int) -> Fraction:
+    """Fixed point of a single formal block with parameters (m, e)."""
+    _validate(CycleCandidate((m,), (e,)))
+    return _fixed_point(_extend(_START, m, e))
+
+
 def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
     """Solve the n-block closure k_n = k_0 for the candidate's parameters.
 
-    Works in cleared integer arithmetic: iterating
-    k_{j+1} = (k_j * 3^(m_j+1) + c_j) / 2^(e_j+m_j+1) with
-    c_j = 3^(m_j+1) - 2^m_j - 2^(e_j+m_j) and equating k_n = k_0 gives
+    Folds the block step over the candidate and solves k0 * (P - T) = S.
+    Unrolled, S is the sum of c_j * prod_{i>j} 3^(m_i+1) * prod_{i<j}
+    2^(e_i+m_i+1), so
 
-        k0 = sum_j c_j * prod_{i>j} 3^(m_i+1) * prod_{i<j} 2^(e_i+m_i+1)
-             / (prod_j 2^(e_j+m_j+1) - prod_j 3^(m_j+1)).
+        k0 = S / (prod_j 2^(e_j+m_j+1) - prod_j 3^(m_j+1)).
     """
     _validate(c)
-    twos = [2 ** (e + m + 1) for m, e in zip(c.m_seq, c.e_seq)]
-    threes = [3 ** (m + 1) for m in c.m_seq]
-    consts = [
-        3 ** (m + 1) - 2**m - 2 ** (e + m) for m, e in zip(c.m_seq, c.e_seq)
-    ]
-    s = 0
-    prefix_two = 1
-    for j in range(c.n):
-        tail_three = 1
-        for t in threes[j + 1 :]:
-            tail_three *= t
-        s += consts[j] * tail_three * prefix_two
-        prefix_two *= twos[j]
-    all_three = 1
-    for t in threes:
-        all_three *= t
-    den = prefix_two - all_three
-    assert den != 0, "a power of 2 equalled a power of 3"
-    k0 = Fraction(s, den)
+    state = _START
+    for m, e in zip(c.m_seq, c.e_seq):
+        state = _extend(state, m, e)
+    k0 = _fixed_point(state)
     is_integer = k0.denominator == 1
     is_nonneg = k0 >= 0
     simulated = is_integer and is_nonneg and _simulate(c, int(k0))
@@ -146,47 +140,47 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     found = []
     for m in range(m_max + 1):
         for e in range(1, e_max + 1):
-            sol = cycle_equation_general(CycleCandidate((m,), (e,)))
-            if sol.is_integer and sol.is_nonneg:
-                found.append(sol)
+            p, t, s = _extend(_START, m, e)
+            q, r = divmod(s, p - t)
+            if not r and q >= 0:
+                found.append(_hit([(m, e)], q))
     return found
-
-
-def _param_lists(n: int, budget: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """All (m_seq, e_seq) of length n with m_j >= 0, e_j >= 1 and
-    sum(m) + sum(e) <= budget, in lexicographic order of the interleaved
-    tuple (m_1, e_1, m_2, e_2, ...)."""
-
-    def extend(prefix: list[int], remaining: int, slots: int) -> Iterator[list[int]]:
-        if slots == 0:
-            yield prefix
-            return
-        # Even interleave positions are m entries (floor 0), odd are e (floor 1).
-        on_e = len(prefix) % 2
-        floor = 1 if on_e else 0
-        # Later slots still need at least their own floors' worth of budget.
-        later_floor = (slots - 1) // 2 if on_e else slots // 2
-        for value in range(floor, remaining - later_floor + 1):
-            yield from extend(prefix + [value], remaining - value, slots - 1)
-
-    for flat in extend([], budget, 2 * n):
-        yield tuple(flat[0::2]), tuple(flat[1::2])
 
 
 def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
     """Exhaustive search over all lengths 1..n_max and parameter lists with
-    sum(m) + sum(e) <= exp_budget; same filtering as search_cycles_n1."""
+    sum(m) + sum(e) <= exp_budget; same filtering as search_cycles_n1.
+
+    One depth-first walk visits every list of every length, in
+    lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...);
+    each node extends its parent's state by one block.  Solutions come out
+    grouped by length, shortest first, each group in walk order.
+    """
     if n_max < 1 or exp_budget < n_max:
         raise DomainError(
             f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
         )
-    found = []
-    for n in range(1, n_max + 1):
-        for m_seq, e_seq in _param_lists(n, exp_budget):
-            sol = cycle_equation_general(CycleCandidate(m_seq, e_seq))
-            if sol.is_integer and sol.is_nonneg:
-                found.append(sol)
-    return found
+    by_length: list[list[CycleSolution]] = [[] for _ in range(n_max)]
+    path: list[tuple[int, int]] = []
+
+    def walk(state: State, remaining: int, depth: int) -> None:
+        found = by_length[depth]
+        deeper = depth + 1 < n_max
+        for m in range(remaining):
+            for e in range(1, remaining - m + 1):
+                child = _extend(state, m, e)
+                p, t, s = child
+                q, r = divmod(s, p - t)
+                if not r and q >= 0:
+                    found.append(_hit(path + [(m, e)], q))
+                left = remaining - m - e
+                if deeper and left:
+                    path.append((m, e))
+                    walk(child, left, depth + 1)
+                    path.pop()
+
+    walk(_START, exp_budget, 0)
+    return [sol for group in by_length for sol in group]
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:

@@ -6,7 +6,8 @@ Every positive integer falls into exactly one of four classes
 
 and one Collatz step sends a class to a class determined only by the tag and
 the parity of the index k.  ``transition_symbolic`` encodes that table and is
-checked against direct evaluation of the map by ``verify_transition_sweep``.
+checked against direct evaluation of the map by
+``sweeps.verify_transitions``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ __all__ = [
     "TransitionGraph",
     "transition_graph",
     "transition_counterexample",
-    "verify_transition_sweep",
 ]
 
 
@@ -197,26 +197,3 @@ def transition_counterexample(z: int) -> tuple[int, int] | None:
     if got != want:
         return want, got
     return None
-
-
-def verify_transition_sweep(z_max: int):
-    """Check the symbolic table against the map for every z <= z_max.
-
-    Counterexamples are data, not errors: the report lists them all.
-    """
-    from .report import Counterexample, VerificationReport
-
-    if z_max < 1:
-        raise DomainError(f"z_max must be >= 1, got {z_max}")
-    bad = []
-    for z in range(1, z_max + 1):
-        res = transition_counterexample(z)
-        if res is not None:
-            bad.append(Counterexample(str(z), str(res[0]), str(res[1])))
-    return VerificationReport(
-        command="verify transitions",
-        checked=z_max,
-        counterexamples=bad,
-        elapsed_ms=0,
-        config={"max": str(z_max)},
-    )

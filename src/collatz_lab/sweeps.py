@@ -13,7 +13,7 @@ when the rest are proven without a check.  The convergence sweep does so
 with a sieve of residue classes mod 2^12; see ``verify_convergence``.
 
 The default worker count comes from the COLLATZ_LAB_WORKERS environment
-variable when set, else from the CPU count.
+variable when set, else from the number of CPUs this process may run on.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ SIEVE_MODULUS = 1 << SIEVE_BITS
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Explicit request, else $COLLATZ_LAB_WORKERS, else the CPU count."""
+    """Explicit request, else $COLLATZ_LAB_WORKERS, else the usable CPUs."""
     if requested is None:
         env = os.environ.get(WORKERS_ENV)
         if env is not None:
@@ -61,6 +61,9 @@ def resolve_workers(requested: int | None = None) -> int:
                 requested = int(env)
             except ValueError:
                 raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}")
+        elif hasattr(os, "sched_getaffinity"):
+            # the affinity mask: a container or taskset may narrow it
+            return len(os.sched_getaffinity(0))
         else:
             return os.cpu_count() or 1
     if requested < 1:

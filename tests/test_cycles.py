@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from functools import cache
+from pathlib import Path
+from typing import Iterator
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import collatz_lab
+from collatz_lab import cli, cycles
 from collatz_lab.blocks import decompose
 from collatz_lab.cycles import (
     CycleCandidate,
@@ -12,13 +20,41 @@ from collatz_lab.cycles import (
     cycle_k_n1,
     search_cycles,
     search_cycles_n1,
-    _param_lists,
 )
 from collatz_lab.errors import DomainError
 
 
+def _param_lists(n: int, budget: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """Reference enumerator: all (m_seq, e_seq) of length n with m_j >= 0,
+    e_j >= 1 and sum(m) + sum(e) <= budget, in lexicographic order of the
+    interleaved tuple (m_1, e_1, m_2, e_2, ...)."""
+
+    def extend(prefix: list[int], remaining: int, slots: int) -> Iterator[list[int]]:
+        if slots == 0:
+            yield prefix
+            return
+        # Even interleave positions are m entries (floor 0), odd are e (floor 1).
+        on_e = len(prefix) % 2
+        floor = 1 if on_e else 0
+        # Later slots still need at least their own floors' worth of budget.
+        later_floor = (slots - 1) // 2 if on_e else slots // 2
+        for value in range(floor, remaining - later_floor + 1):
+            yield from extend(prefix + [value], remaining - value, slots - 1)
+
+    for flat in extend([], budget, 2 * n):
+        yield tuple(flat[0::2]), tuple(flat[1::2])
+
+
+@cache
+def _per_candidate(n: int, budget: int) -> tuple:
+    """The length-n hits of the box, one cycle_equation_general per candidate."""
+    sols = (cycle_equation_general(CycleCandidate(m, e)) for m, e in _param_lists(n, budget))
+    return tuple(s for s in sols if s.is_integer and s.is_nonneg)
+
+
 def test_k_n1_spots():
     assert cycle_k_n1(0, 1) == 0
+    assert type(cycle_k_n1(0, 1)) is Fraction
     assert cycle_k_n1(1, 2) == Fraction(-1, 7)
     assert cycle_k_n1(0, 2) == Fraction(-2, 5)
 
@@ -154,3 +190,52 @@ def test_search_guards():
         search_cycles(3, 2)
     with pytest.raises(DomainError):
         search_cycles_n1(0, 3)
+
+
+@pytest.mark.parametrize(
+    "n_max,budget",
+    [(n, b) for n in range(1, 5) for b in range(n, 14)] + [(5, 11)],
+)
+def test_search_equals_per_candidate_closure(n_max, budget):
+    expected = [s for n in range(1, n_max + 1) for s in _per_candidate(n, budget)]
+    assert search_cycles(n_max, budget) == expected
+
+
+def test_n1_search_equals_per_candidate_closure():
+    sols = (
+        cycle_equation_general(CycleCandidate((m,), (e,)))
+        for m in range(61)
+        for e in range(1, 61)
+    )
+    assert search_cycles_n1(60, 60) == [s for s in sols if s.is_integer and s.is_nonneg]
+
+
+def test_planted_simulation_fault_surfaces(monkeypatch, capsys):
+    monkeypatch.setattr(cycles, "_simulate", lambda c, k0: False)
+    sols = search_cycles(3, 12)
+    assert [s.candidate.n for s in sols] == [1, 2, 3]
+    assert all(s.k0 == 0 and not s.simulated_ok for s in sols)
+    assert not any(s.simulated_ok for s in search_cycles_n1(5, 5))
+    assert cli.run(["cycles", "search", "--n-max", "3", "--budget", "12"]) == 2
+    assert "unsimulated" in capsys.readouterr().out
+
+
+def test_vanishing_closure_raises_under_optimize():
+    code = (
+        "import collatz_lab.cycles as C\n"
+        "from collatz_lab.errors import IdentityViolation\n"
+        "C._extend = lambda state, m, e: (8, 8, 1)\n"
+        "for call in (lambda: C.cycle_k_n1(0, 1),\n"
+        "             lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,)))):\n"
+        "    try:\n"
+        "        call()\n"
+        "    except IdentityViolation:\n"
+        "        print('raised')\n"
+    )
+    src = str(Path(collatz_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "raised\nraised\n"

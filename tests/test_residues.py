@@ -13,8 +13,8 @@ from collatz_lab.residues import (
     transition_counterexample,
     transition_graph,
     transition_symbolic,
-    verify_transition_sweep,
 )
+from collatz_lab.sweeps import verify_transitions
 
 A, B, E, G = ResidueClass.ALPHA, ResidueClass.BETA, ResidueClass.ETA, ResidueClass.GAMMA
 
@@ -61,7 +61,7 @@ def test_symbolic_transition_case_table():
 
 
 def test_transition_sweep_clean():
-    report = verify_transition_sweep(20000)
+    report = verify_transitions(20000, workers=1)
     assert report.passed
     assert report.checked == 20000
 

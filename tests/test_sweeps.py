@@ -1,4 +1,5 @@
 import multiprocessing
+import os
 import re
 from functools import partial
 
@@ -13,6 +14,7 @@ from collatz_lab.sweeps import (
     _drop_check,
     _sieve_survivors,
     _sieved_inputs,
+    resolve_workers,
     run_sweep,
     verify_blocks,
     verify_convergence,
@@ -113,3 +115,15 @@ def test_blocks_report_records_limit_and_premise():
     config = verify_blocks(10, workers=1, step_limit=50).config
     assert config["limit"] == "50"
     assert "every smaller k0" in config["premise"]
+
+
+def test_default_workers_follow_the_affinity_mask(monkeypatch):
+    monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    assert resolve_workers() == 3
+    # without an affinity call the CPU count is the fallback
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    assert resolve_workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert resolve_workers() == 1
