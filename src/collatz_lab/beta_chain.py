@@ -41,6 +41,9 @@ def v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
+
 class BetaChainSolution(NamedTuple):
     k: int
     m: int
@@ -66,7 +69,7 @@ def solve_beta_chain(k: int) -> BetaChainSolution:
     m = v2(k + 1)
     odd = (k + 1) >> m
     h = (odd * 3**m - 1) >> 1
-    return BetaChainSolution(k, m, h)
+    return _new(BetaChainSolution, (k, m, h))
 
 
 def solve_beta_chain_paper(k: int) -> BetaChainSolution:
@@ -79,17 +82,17 @@ def solve_beta_chain_paper(k: int) -> BetaChainSolution:
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
-    if k % 2 == 0:
+    if k & 1 == 0:
         m = 0
         t = k + 1
     else:
-        t = (k + 1) // 2
+        t = (k + 1) >> 1
         m = 1
-        while t % 2 == 0:
-            t //= 2
+        while t & 1 == 0:
+            t >>= 1
             m += 1
-    h = (t * 3**m - 1) // 2
-    return BetaChainSolution(k, m, h)
+    h = (t * 3**m - 1) >> 1
+    return _new(BetaChainSolution, (k, m, h))
 
 
 def chain_path(k: int, m: int) -> list[int]:
@@ -153,24 +156,35 @@ def verify_beta_chain(k: int) -> ChainCheck:
     )
 
 
+def _off_chain(name: str, j: int, v: int) -> tuple[str, str]:
+    r = v & 3
+    return (f"{name} at chain step {j}", f"value {v} = 4k+{r or 4}")
+
+
 def chain_counterexample(k: int) -> tuple[str, str] | None:
     """Lean full check for sweep loops: None when everything holds at k,
     else (expected, actual) strings for the first failing property."""
     sol = solve_beta_chain(k)
     ladder = solve_beta_chain_paper(k)
+    _, m, h = sol
     if sol != ladder:
-        return (f"(m,h)={(sol.m, sol.h)}", f"ladder gave {(ladder.m, ladder.h)}")
-    if (k + 1) * 3**sol.m != (2 * sol.h + 1) * 2**sol.m:
+        return (f"(m,h)={(m, h)}", f"ladder gave {(ladder[1], ladder[2])}")
+    if (k + 1) * 3**m != (2 * h + 1) * 2**m:
         return ("(k+1)*3^m == (2h+1)*2^m", "exact identity violated")
+    # The 2m+1 chain steps, two at a time: beta halves to eta, eta goes to
+    # 3v+1, and the last beta halves onto the landing.
     v = 4 * k + 2
-    for j in range(sol.steps):
-        r = v & 3
-        if j % 2 == 0:
-            if r != 2:
-                return (f"beta at chain step {j}", f"value {v} = 4k+{r or 4}")
-        elif r != 3:
-            return (f"eta at chain step {j}", f"value {v} = 4k+{r or 4}")
-        v = 3 * v + 1 if v & 1 else v >> 1
-    if v != sol.alpha or v & 3 != 1:
-        return (f"landing {sol.alpha}", str(v))
+    for j in range(0, 2 * m, 2):
+        if v & 3 != 2:
+            return _off_chain("beta", j, v)
+        v >>= 1
+        if v & 3 != 3:
+            return _off_chain("eta", j + 1, v)
+        v = 3 * v + 1
+    if v & 3 != 2:
+        return _off_chain("beta", 2 * m, v)
+    v >>= 1
+    alpha = 4 * h + 1
+    if v != alpha or v & 3 != 1:
+        return (f"landing {alpha}", str(v))
     return None

@@ -50,6 +50,9 @@ __all__ = [
 ]
 
 
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+
+
 class Polyline(NamedTuple):
     """Vertex counts: x under vertices, s upper vertices, z = x + s - 1."""
 
@@ -66,27 +69,32 @@ def to_polyline(z: int) -> Polyline:
         raise DomainError(f"to_polyline needs z >= 1, got {z}")
     if z & 1:
         half = (z + 1) >> 1
-        return Polyline(half, half)
-    return Polyline((z >> 1) + 1, z >> 1)
+        return _new(Polyline, (half, half))
+    return _new(Polyline, ((z >> 1) + 1, z >> 1))
 
 
 def _check_valid(p: Polyline) -> None:
-    if p.s < 1 or p.x not in (p.s, p.s + 1):
-        raise InvalidPolyline(f"(x={p.x}, s={p.s}) describes no positive integer")
+    x, s = p
+    if s < 1 or not 0 <= x - s <= 1:
+        raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
 
 
 def from_polyline(p: Polyline) -> int:
     """Inverse of to_polyline; rejects count pairs that fit no integer."""
     _check_valid(p)
-    return p.x + p.s - 1
+    x, s = p
+    return x + s - 1
+
+
+# indexed by 2*(s & 1) + (x & 1)
+_BY_PARITIES = (ResidueClass.ETA, ResidueClass.GAMMA, ResidueClass.BETA, ResidueClass.ALPHA)
 
 
 def class_from_polyline(p: Polyline) -> ResidueClass:
     """Mod-4 class read off the parities of the two counts."""
     _check_valid(p)
-    if p.s & 1:
-        return ResidueClass.ALPHA if p.x & 1 else ResidueClass.BETA
-    return ResidueClass.GAMMA if p.x & 1 else ResidueClass.ETA
+    x, s = p
+    return _BY_PARITIES[2 * (s & 1) + (x & 1)]
 
 
 def t_closed_form(p: Polyline) -> int:
@@ -250,17 +258,18 @@ def polyline_counterexample(z: int) -> tuple[str, str] | None:
     """Sweep-grade check at one z: roundtrip, class agreement with classify,
     the closed form against the real shortcut map, and the step law."""
     p = to_polyline(z)
-    if from_polyline(p) != z:
-        return (str(z), f"roundtrip gave {from_polyline(p)}")
-    if class_from_polyline(p) is not classify(z).tag:
-        return (
-            f"class {classify(z).tag.ascii_name}",
-            class_from_polyline(p).ascii_name,
-        )
+    back = from_polyline(p)
+    if back != z:
+        return (str(z), f"roundtrip gave {back}")
+    have, want = class_from_polyline(p), classify(z)[0]
+    if have is not want:
+        return (f"class {want.ascii_name}", have.ascii_name)
     z1 = t_closed_form(p)
-    if z1 != step_t(z):
-        return (f"T({z}) = {step_t(z)}", f"closed form gave {z1}")
-    p1 = to_polyline(z1)
-    if p1.x + p1.s != (p.x + p.s) + p.x - p.x * p.x + p.s * p.s:
+    t = step_t(z)
+    if z1 != t:
+        return (f"T({z}) = {t}", f"closed form gave {z1}")
+    x, s = p
+    x1, s1 = to_polyline(z1)
+    if x1 + s1 != (x + s) + x - x * x + s * s:
         return ("step law balance", f"violated at z={z}")
     return None

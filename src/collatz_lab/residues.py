@@ -36,34 +36,33 @@ __all__ = [
 
 
 class ResidueClass(Enum):
-    """The four mod-4 classes; the enum value is the class offset in 4k+c."""
+    """The four mod-4 classes; the enum value is the class offset in 4k+c.
+
+    ``offset`` and ``symbol`` are plain member attributes, set once here, so
+    the sweep kernels read them without property dispatch.
+    """
 
     ALPHA = 1
     BETA = 2
     ETA = 3
     GAMMA = 4
 
-    @property
-    def offset(self) -> int:
-        return self.value
-
-    @property
-    def symbol(self) -> str:
-        return _SYMBOLS[self]
+    def __init__(self, offset: int) -> None:
+        self.offset = offset
+        self.symbol = "αβηγ"[offset - 1]
 
     @property
     def ascii_name(self) -> str:
         return self.name.lower()
 
 
-_SYMBOLS = {
-    ResidueClass.ALPHA: "α",
-    ResidueClass.BETA: "β",
-    ResidueClass.ETA: "η",
-    ResidueClass.GAMMA: "γ",
-}
+# Hot paths read these aliases: a ResidueClass.X lookup goes through the
+# Enum metaclass, and hashing a member (say, as a dict key) runs Python code.
+_A, _B, _E, _G = ResidueClass
 
-_OFFSET_TO_CLASS = {c.offset: c for c in ResidueClass}
+_BY_RESIDUE = (_A, _B, _E, _G)  # indexed by (z - 1) & 3
+
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class ClassifiedInt(NamedTuple):
@@ -77,15 +76,33 @@ def classify(z: int) -> ClassifiedInt:
     """The unique (tag, k) with z = 4k + offset(tag), k >= 0."""
     if z < 1:
         raise DomainError(f"classify needs z >= 1, got {z}")
-    k, r = divmod(z - 1, 4)
-    return ClassifiedInt(_OFFSET_TO_CLASS[r + 1], k)
+    z -= 1
+    return _new(ClassifiedInt, (_BY_RESIDUE[z & 3], z >> 2))
+
+
+def _not_a_class(tag: object) -> DomainError:
+    return DomainError(f"tag must be a ResidueClass, got {tag!r}")
 
 
 def declassify(c: ClassifiedInt) -> int:
     """Inverse of classify: 4k + offset(tag)."""
-    if c.k < 0:
-        raise DomainError(f"index k must be >= 0, got {c.k}")
-    return 4 * c.k + c.tag.offset
+    tag, k = c
+    if k < 0:
+        raise DomainError(f"index k must be >= 0, got {k}")
+    try:
+        return 4 * k + tag.offset
+    except AttributeError:
+        raise _not_a_class(tag) from None
+
+
+# The one-step class table.  With k = 2l + p, row 2*(offset - 1) + p is
+# (target class, a, b) and the target index is a*l + b.
+_TABLE = (
+    (_G, 6, 0), (_G, 6, 3),  # alpha
+    (_A, 1, 0), (_E, 1, 0),  # beta
+    (_B, 6, 2), (_B, 6, 5),  # eta
+    (_B, 1, 0), (_G, 1, 0),  # gamma
+)
 
 
 def transition_symbolic(c: ClassifiedInt) -> ClassifiedInt:
@@ -104,14 +121,11 @@ def transition_symbolic(c: ClassifiedInt) -> ClassifiedInt:
     tag, k = c
     if k < 0:
         raise DomainError(f"index k must be >= 0, got {k}")
-    l, odd = divmod(k, 2)
-    if tag is ResidueClass.ALPHA:
-        return ClassifiedInt(ResidueClass.GAMMA, 6 * l + 3 if odd else 6 * l)
-    if tag is ResidueClass.BETA:
-        return ClassifiedInt(ResidueClass.ETA if odd else ResidueClass.ALPHA, l)
-    if tag is ResidueClass.ETA:
-        return ClassifiedInt(ResidueClass.BETA, 6 * l + 5 if odd else 6 * l + 2)
-    return ClassifiedInt(ResidueClass.GAMMA if odd else ResidueClass.BETA, l)
+    try:
+        dst, a, b = _TABLE[2 * tag.offset - 2 + (k & 1)]
+    except AttributeError:
+        raise _not_a_class(tag) from None
+    return _new(ClassifiedInt, (dst, a * (k >> 1) + b))
 
 
 @dataclass
@@ -165,29 +179,19 @@ class TransitionGraph:
         return any(e.src is src and e.dst is dst and e.admits(k) for e in self.edges)
 
 
-_A, _B, _E, _G = (
-    ResidueClass.ALPHA,
-    ResidueClass.BETA,
-    ResidueClass.ETA,
-    ResidueClass.GAMMA,
-)
-
-_EDGES = frozenset(
-    {
-        GraphEdge(_A, _G, "any"),
-        GraphEdge(_B, _E, "odd"),
-        GraphEdge(_B, _A, "even"),
-        GraphEdge(_E, _B, "any"),
-        GraphEdge(_G, _G, "odd"),
-        GraphEdge(_G, _B, "even"),
-    }
-)
-
-
 def transition_graph() -> TransitionGraph:
-    """The static six-edge class graph: the main cycle alpha -> gamma -> beta
-    -> alpha, the self-loop gamma -> gamma, and the two-cycle beta <-> eta."""
-    return TransitionGraph(edges=_EDGES)
+    """The six-edge class graph read off the class table: the main cycle
+    alpha -> gamma -> beta -> alpha, the self-loop gamma -> gamma, and the
+    two-cycle beta <-> eta.  A class whose two parities of k lead to the
+    same class has one edge of parity "any"."""
+    edges = set()
+    for src in ResidueClass:
+        even, odd = _TABLE[2 * src.offset - 2][0], _TABLE[2 * src.offset - 1][0]
+        if even is odd:
+            edges.add(GraphEdge(src, even, "any"))
+        else:
+            edges.update((GraphEdge(src, even, "even"), GraphEdge(src, odd, "odd")))
+    return TransitionGraph(edges=frozenset(edges))
 
 
 def transition_counterexample(z: int) -> tuple[int, int] | None:

@@ -6,6 +6,7 @@ from collatz_lab.core import step_c, trajectory
 from collatz_lab.errors import DomainError
 from collatz_lab.residues import (
     ClassifiedInt,
+    GraphEdge,
     ResidueClass,
     class_sequence,
     classify,
@@ -17,6 +18,19 @@ from collatz_lab.residues import (
 from collatz_lab.sweeps import verify_transitions
 
 A, B, E, G = ResidueClass.ALPHA, ResidueClass.BETA, ResidueClass.ETA, ResidueClass.GAMMA
+
+# The six edges as once written out by hand; transition_graph derives them
+# from the class table and must give exactly this set.
+_EDGES = frozenset(
+    {
+        GraphEdge(A, G, "any"),
+        GraphEdge(B, E, "odd"),
+        GraphEdge(B, A, "even"),
+        GraphEdge(E, B, "any"),
+        GraphEdge(G, G, "odd"),
+        GraphEdge(G, B, "even"),
+    }
+)
 
 
 @pytest.mark.parametrize(
@@ -58,6 +72,29 @@ def test_symbolic_transition_case_table():
     assert transition_symbolic(ClassifiedInt(E, 1)) == (B, 5)  # 7 -> 22
     assert transition_symbolic(ClassifiedInt(G, 0)) == (B, 0)  # 4 -> 2
     assert transition_symbolic(ClassifiedInt(G, 1)) == (G, 0)  # 8 -> 4
+
+
+def test_member_attributes():
+    assert [(c.offset, c.symbol, c.ascii_name) for c in ResidueClass] == [
+        (1, "α", "alpha"), (2, "β", "beta"), (3, "η", "eta"), (4, "γ", "gamma"),
+    ]
+    assert all(ResidueClass(c.offset) is c for c in ResidueClass)
+
+
+@pytest.mark.parametrize("tag", [1, "alpha", None, 4.0])
+def test_non_class_tag_rejected(tag):
+    # a bare offset in the tag slot once fell through to the gamma row
+    with pytest.raises(DomainError, match="ResidueClass"):
+        transition_symbolic(ClassifiedInt(tag, 3))
+    with pytest.raises(DomainError, match="ResidueClass"):
+        declassify(ClassifiedInt(tag, 3))
+
+
+def test_negative_index_rejected():
+    with pytest.raises(DomainError):
+        transition_symbolic(ClassifiedInt(A, -1))
+    with pytest.raises(DomainError):
+        declassify(ClassifiedInt(A, -1))
 
 
 def test_transition_sweep_clean():
@@ -102,6 +139,10 @@ def test_graph_edges():
     assert g.has_edge(E, B, 0) and g.has_edge(E, B, 5)
     assert g.has_edge(G, B, 0) and g.has_edge(G, G, 1)
     assert not g.has_edge(E, A, 0)
+
+
+def test_graph_edges_derived_from_table():
+    assert transition_graph().edges == _EDGES
 
 
 @given(st.integers(min_value=1, max_value=10**6))

@@ -5,7 +5,7 @@ from functools import partial
 
 import pytest
 
-from collatz_lab import blocks
+from collatz_lab import beta_chain, blocks, polyline, residues
 from collatz_lab.core import DEFAULT_STEP_LIMIT, glide
 from collatz_lab.report import export_report
 from collatz_lab.sweeps import (
@@ -16,8 +16,11 @@ from collatz_lab.sweeps import (
     _sieved_inputs,
     resolve_workers,
     run_sweep,
+    verify_beta_chains,
     verify_blocks,
     verify_convergence,
+    verify_polylines,
+    verify_transitions,
 )
 
 
@@ -90,24 +93,58 @@ def _faulty_make_block(k_in, _real=blocks.make_block):
     return b._replace(k_out=b.k_out + 1) if k_in == 27 else b
 
 
+def _faulty_transition_symbolic(c, _real=residues.transition_symbolic):
+    out = _real(c)
+    return out._replace(k=out.k + 1) if residues.declassify(c) == 27 else out
+
+
+def _faulty_solve_beta_chain_paper(k, _real=beta_chain.solve_beta_chain_paper):
+    sol = _real(k)
+    return sol._replace(h=sol.h + 1) if k == 27 else sol
+
+
+def _faulty_t_closed_form(p, _real=polyline.t_closed_form):
+    return _real(p) + (p.z == 27)
+
+
+# Each planted fault goes wrong at the input 27 only.
+_PLANTED = {
+    "make_block": (blocks, _faulty_make_block),
+    "transition_symbolic": (residues, _faulty_transition_symbolic),
+    "solve_beta_chain_paper": (beta_chain, _faulty_solve_beta_chain_paper),
+    "t_closed_form": (polyline, _faulty_t_closed_form),
+}
+
+
 @pytest.mark.parametrize(
     "sweep, planted",
     [
-        (partial(verify_blocks, 300), True),
-        (partial(verify_blocks, 300, step_limit=20), False),
-        (partial(verify_convergence, 5000, 20), False),
+        (partial(verify_blocks, 300), "make_block"),
+        (partial(verify_blocks, 300, step_limit=20), None),
+        (partial(verify_convergence, 5000, 20), None),
+        (partial(verify_transitions, 300), "transition_symbolic"),
+        (partial(verify_beta_chains, 300), "solve_beta_chain_paper"),
+        (partial(verify_polylines, 300), "t_closed_form"),
     ],
-    ids=["blocks-planted-make-block", "blocks-step-limit-20", "convergence-step-limit-20"],
+    ids=[
+        "blocks-planted-make-block",
+        "blocks-step-limit-20",
+        "convergence-step-limit-20",
+        "transitions-planted-transition-symbolic",
+        "beta-chain-planted-solve-beta-chain-paper",
+        "polyline-planted-t-closed-form",
+    ],
 )
 def test_faults_fail_alike_on_one_and_two_workers(sweep, planted, monkeypatch):
     if planted:
         if multiprocessing.get_start_method() != "fork":
             pytest.skip("a planted fault reaches pool workers only through fork")
-        monkeypatch.setattr(blocks, "make_block", _faulty_make_block)
+        module, faulty = _PLANTED[planted]
+        monkeypatch.setattr(module, planted, faulty)
     one, two = sweep(workers=1), sweep(workers=2)
     assert not one.passed
     if planted:
-        assert "27" in [c.input for c in one.counterexamples]
+        assert [c.input for c in one.counterexamples] == ["27"]
     assert _json_without_elapsed(one) == _json_without_elapsed(two)
 
 
