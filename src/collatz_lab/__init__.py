@@ -55,6 +55,7 @@ from .errors import (
     InvalidPolyline,
     LimitExceeded,
     PatternMismatch,
+    SweepWorkerError,
 )
 from .polyline import (
     Polyline,
@@ -105,6 +106,7 @@ __all__ = [
     "Polyline",
     "RecordTable",
     "ResidueClass",
+    "SweepWorkerError",
     "Trajectory",
     "VerificationReport",
     "backward_tree",

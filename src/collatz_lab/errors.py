@@ -35,3 +35,9 @@ class IdentityViolation(CollatzLabError):
 
     Raised by explicit checks rather than ``assert``, so that ``python -O``
     cannot strip it."""
+
+
+class SweepWorkerError(CollatzLabError):
+    """A sweep worker process crashed, died by a signal or sent back a
+    short or unpicklable result.  The message names the worker's spans, so
+    a sweep never ends in a partial report."""

@@ -1,12 +1,28 @@
 """Range sweeps: run a per-input check over an integer range, in parallel.
 
 Each sweep takes a pure check function z -> None | (expected, actual) and
-scans a contiguous range.  Chunks are dispatched to worker processes with
-``ProcessPoolExecutor.map``, which preserves submission order, so the merged
-counterexample list is sorted by input and byte-identical no matter how many
-workers ran — the worker count is a throughput knob, never a semantics knob.
-``workers=1`` (or a 1-CPU default) runs inline in the current process, which
-also lets tests monkeypatch the checked functions.
+scans a contiguous range.  With w workers the range is cut into 4*w
+contiguous spans, and worker i scans spans i, i + w, i + 2w, ...  The calling
+process is worker 0.  The other w - 1 are forked with ``os.fork`` when the
+sweep is called, so they inherit the check, ``inputs`` and any monkeypatched
+function as they stand at that moment: nothing is pickled on the way in.
+Each child pickles only its rows into its own pipe and leaves by
+``os._exit``, so no ``atexit`` handler runs and no inherited buffer is
+flushed twice.  The parent merges the rows in span order, so the
+counterexample list is sorted by input and the report is byte-identical for
+any worker count: the worker count is a throughput knob, never a semantics
+knob.  ``workers=1``, a range of at most one input and a platform without
+``os.fork`` scan inline in the calling process.
+
+A child that exits non-zero, dies by a signal or sends a short payload makes
+``run_sweep`` raise ``SweepWorkerError`` naming the child's spans and its
+exit status or signal.  An exception raised by the check in a child is
+raised again in the parent with its own type and message, or as a
+``SweepWorkerError`` carrying its repr when it cannot be pickled.  Whatever
+ends the call, an exception or an interrupt included, every child is killed
+and reaped before ``run_sweep`` returns or raises, and no partial report is
+made.  Fork copies only the calling thread, so do not run a parallel sweep
+from a process that runs other threads (Python 3.12 and later warn).
 
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
@@ -19,15 +35,16 @@ variable when set, else from the number of CPUs this process may run on.
 from __future__ import annotations
 
 import os
+import pickle
+import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import cache, partial
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NoReturn
 
 from .beta_chain import chain_counterexample
 from .blocks import block_counterexample
 from .core import DEFAULT_STEP_LIMIT
-from .errors import DomainError
+from .errors import DomainError, SweepWorkerError
 from .polyline import polyline_counterexample
 from .report import Counterexample, VerificationReport
 from .residues import transition_counterexample
@@ -47,6 +64,8 @@ WORKERS_ENV = "COLLATZ_LAB_WORKERS"
 
 CheckFn = Callable[[int], "tuple[object, object] | None"]
 InputsFn = Callable[[int, int], Iterable[int]]
+Row = tuple[int, str, str]  # (input, expected, actual) of a counterexample
+Span = tuple[int, int]  # [lo, hi)
 
 SIEVE_BITS = 12
 SIEVE_MODULUS = 1 << SIEVE_BITS
@@ -71,8 +90,7 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-def _scan(args: tuple[CheckFn, InputsFn, int, int]) -> list[tuple[int, str, str]]:
-    check, inputs, lo, hi = args
+def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[Row]:
     out = []
     for z in inputs(lo, hi):
         r = check(z)
@@ -81,7 +99,7 @@ def _scan(args: tuple[CheckFn, InputsFn, int, int]) -> list[tuple[int, str, str]
     return out
 
 
-def _spans(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
+def _spans(lo: int, hi: int, pieces: int) -> list[Span]:
     total = hi - lo
     pieces = max(1, min(pieces, total))
     width, leftover = divmod(total, pieces)
@@ -92,6 +110,121 @@ def _spans(lo: int, hi: int, pieces: int) -> list[tuple[int, int]]:
         spans.append((at, nxt))
         at = nxt
     return spans
+
+
+# Each child's payload is its length in this many bytes, then the pickle.
+_HEADER = 8
+
+
+def _span_names(share: list[Span]) -> str:
+    return ", ".join(f"[{a}, {b})" for a, b in share)
+
+
+def _portable_error(exc: BaseException, share: list[Span]) -> tuple[BaseException, str]:
+    """``exc`` and its traceback, or a SweepWorkerError with its repr when
+    ``exc`` does not survive a pickle round trip."""
+    import traceback  # only a failing child needs it
+
+    trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        exc = SweepWorkerError(
+            f"the worker for spans {_span_names(share)} raised {exc!r}, which cannot be pickled"
+        )
+    return exc, trace
+
+
+def _child(
+    check: CheckFn,
+    inputs: InputsFn,
+    share: list[Span],
+    fd: int,
+    inherited: list[int],
+) -> NoReturn:
+    """Scan ``share`` in a forked child, send its rows per span (or the
+    error that stopped it) down ``fd`` and leave without running any exit
+    handler.  Never returns into the caller's stack."""
+    status = 1
+    try:
+        for other in inherited:
+            os.close(other)
+        try:
+            payload = pickle.dumps((None, [_scan(check, inputs, a, b) for a, b in share]))
+        except BaseException as exc:  # sent to the parent, which raises it
+            payload = pickle.dumps((_portable_error(exc, share), None))
+        with open(fd, "wb") as pipe:
+            pipe.write(len(payload).to_bytes(_HEADER, "little"))
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Row]]:
+    """A reaped child's rows per span, or the error it ended with."""
+    code = os.waitstatus_to_exitcode(status)
+    if code < 0:
+        raise SweepWorkerError(
+            f"the worker for spans {_span_names(share)} was killed by signal "
+            f"{-code} ({signal.Signals(-code).name})"
+        )
+    if code > 0:
+        raise SweepWorkerError(
+            f"the worker for spans {_span_names(share)} exited with status {code}"
+        )
+    size = int.from_bytes(data[:_HEADER], "little")
+    if len(data) != _HEADER + size:
+        raise SweepWorkerError(
+            f"the worker for spans {_span_names(share)} exited with status 0 "
+            f"but sent a short payload ({len(data)} bytes)"
+        )
+    error, parts = pickle.loads(data[_HEADER:])
+    if error is not None:
+        exc, trace = error
+        raise exc from SweepWorkerError(
+            f"raised in the worker for spans {_span_names(share)}; its traceback:\n{trace}"
+        )
+    return parts
+
+
+def _fork_scan(check: CheckFn, inputs: InputsFn, spans: list[Span], w: int) -> list[Row]:
+    """Scan ``spans`` on ``w`` workers: this process scans spans 0, w, 2w,
+    ... and each of w - 1 forked children scans its own share; the rows
+    come back in span order.  Every child is reaped before this returns or
+    raises."""
+    shares = [spans[i::w] for i in range(w)]
+    children: list[tuple[int, int, list[Span]]] = []  # (pid, read end, share)
+    unreaped: set[int] = set()
+    try:
+        for share in shares[1:]:
+            r, w_end = os.pipe()
+            pid = 0
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(check, inputs, share, w_end, [r] + [c[1] for c in children])
+            finally:
+                os.close(w_end)
+                if pid:
+                    children.append((pid, r, share))
+                    unreaped.add(pid)
+                else:  # the fork itself failed
+                    os.close(r)
+        parts = [[_scan(check, inputs, a, b) for a, b in shares[0]]]
+        for pid, r, share in children:
+            with open(r, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            unreaped.discard(pid)
+            parts.append(_unpack(data, status, share))
+    finally:
+        for pid, r, _ in children:
+            os.close(r)
+            if pid in unreaped:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return [row for k in range(len(spans)) for row in parts[k % w][k // w]]
 
 
 def run_sweep(
@@ -108,19 +241,23 @@ def run_sweep(
 
     ``inputs(a, b)`` yields, in increasing order, the inputs of each span
     [a, b) that need a check; the caller vouches for the others.  The
-    report counts all of [lo, hi) as checked.  In a worker pool ``inputs``
-    is pickled, so it must be a module-level function or a partial of one.
+    report counts all of [lo, hi) as checked.  On more than one worker the
+    range is cut into 4 * workers spans, this process scans every
+    workers-th span from the first and forked children scan the rest; see
+    the module docstring.  ``check`` and ``inputs`` reach the children by
+    fork, so they may be lambdas or closures; only the rows are pickled.
+    Raises ``SweepWorkerError`` when a child crashes, and whatever ``check``
+    raised, in this process or a child.
     """
     if hi < lo:
         raise DomainError(f"empty-range sweep: [{lo}, {hi})")
     w = resolve_workers(workers)
     start = time.perf_counter()
-    if w <= 1 or hi - lo <= 1:
-        rows = _scan((check, inputs, lo, hi))
+    if w <= 1 or hi - lo <= 1 or not hasattr(os, "fork"):
+        rows = _scan(check, inputs, lo, hi)
     else:
-        jobs = [(check, inputs, a, b) for a, b in _spans(lo, hi, w * 4)]
-        with ProcessPoolExecutor(max_workers=w) as pool:
-            rows = [row for part in pool.map(_scan, jobs) for row in part]
+        spans = _spans(lo, hi, w * 4)
+        rows = _fork_scan(check, inputs, spans, min(w, len(spans)))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,
@@ -273,7 +410,7 @@ def verify_convergence(
     """
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
-    # Built here, before any pool starts; the workers get the survivors.
+    # Built here, in the calling process, so that forked workers inherit it.
     survivors = _sieve_survivors(step_limit)
     return run_sweep(
         "verify convergence",

@@ -1,12 +1,19 @@
-import multiprocessing
+import errno
 import os
 import re
+import signal
+import subprocess
+import sys
+import warnings
 from functools import partial
+from pathlib import Path
 
 import pytest
 
-from collatz_lab import beta_chain, blocks, polyline, residues
+import collatz_lab
+from collatz_lab import beta_chain, blocks, cli, polyline, residues
 from collatz_lab.core import DEFAULT_STEP_LIMIT, glide
+from collatz_lab.errors import IdentityViolation, SweepWorkerError
 from collatz_lab.report import export_report
 from collatz_lab.sweeps import (
     SIEVE_MODULUS,
@@ -14,6 +21,7 @@ from collatz_lab.sweeps import (
     _drop_check,
     _sieve_survivors,
     _sieved_inputs,
+    _spans,
     resolve_workers,
     run_sweep,
     verify_beta_chains,
@@ -137,8 +145,6 @@ _PLANTED = {
 )
 def test_faults_fail_alike_on_one_and_two_workers(sweep, planted, monkeypatch):
     if planted:
-        if multiprocessing.get_start_method() != "fork":
-            pytest.skip("a planted fault reaches pool workers only through fork")
         module, faulty = _PLANTED[planted]
         monkeypatch.setattr(module, planted, faulty)
     one, two = sweep(workers=1), sweep(workers=2)
@@ -146,6 +152,199 @@ def test_faults_fail_alike_on_one_and_two_workers(sweep, planted, monkeypatch):
     if planted:
         assert [c.input for c in one.counterexamples] == ["27"]
     assert _json_without_elapsed(one) == _json_without_elapsed(two)
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 300])
+def test_reports_match_at_one_two_and_three_workers(n):
+    sweeps = [
+        partial(verify_transitions, n),
+        partial(verify_beta_chains, n),
+        partial(verify_blocks, n),
+        partial(verify_blocks, n, step_limit=20),
+        partial(verify_polylines, n),
+        partial(verify_convergence, n + 1),
+        partial(verify_convergence, 50 * n + 1, 20),
+    ]
+    for sweep in sweeps:
+        one, two, three = (_json_without_elapsed(sweep(workers=w)) for w in (1, 2, 3))
+        assert one == two == three
+
+
+def test_lambda_check_runs_on_two_workers():
+    # The check reaches the forked workers by inheritance, not by pickle.
+    report = run_sweep("lambda", lambda z: (0, z) if z % 7 == 0 else None, 1, 100, workers=2)
+    assert [c.input for c in report.counterexamples] == [str(z) for z in range(7, 100, 7)]
+    assert report.checked == 99
+
+
+def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
+    forks = []
+
+    def counting_fork(_real=os.fork):
+        forks.append(None)
+        return _real()
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    report = run_sweep("three", lambda z: (z, -z), 5, 8, workers=64)
+    assert len(forks) == 2
+    assert [c.input for c in report.counterexamples] == ["5", "6", "7"]
+
+
+def _planted(action, at, in_child=True, parent=os.getpid()):
+    """A check that runs ``action`` at input ``at`` only in a forked worker,
+    so that a planted crash can never end the test process itself (or, with
+    ``in_child=False``, only in the test process)."""
+
+    def check(z):
+        if z == at and (os.getpid() != parent) == in_child:
+            action()
+        return None
+
+    return check
+
+
+def _raise(exc):
+    raise exc
+
+
+def _kill_self():
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+# Spans [0, 100) at two workers; the child scans every second span.
+_CHILD_SPANS = _spans(0, 100, 8)[1::2]
+_CHILD_SPAN_NAMES = ", ".join(f"[{a}, {b})" for a, b in _CHILD_SPANS)
+
+
+@pytest.mark.parametrize(
+    "action, says",
+    [
+        (partial(os._exit, 3), "exited with status 3"),
+        (_kill_self, f"was killed by signal {int(signal.SIGKILL)} (SIGKILL)"),
+        (partial(os._exit, 0), "exited with status 0 but sent a short payload (0 bytes)"),
+    ],
+    ids=["exit-3", "sigkill", "short-payload"],
+)
+def test_crashed_worker_raises_and_names_its_spans(action, says):
+    check = _planted(action, _CHILD_SPANS[1][0] + 1)
+    with pytest.raises(SweepWorkerError) as info:
+        run_sweep("crash", check, 0, 100, workers=2)
+    assert str(info.value) == f"the worker for spans {_CHILD_SPAN_NAMES} {says}"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# verify transitions|polyline --max 300 at two workers: the child's spans.
+_CLI_CHILD_SPANS = _spans(1, 301, 8)[1::2]
+
+
+def test_crashed_worker_fails_the_cli(monkeypatch, capsys):
+    crash = _planted(partial(os._exit, 3), _CLI_CHILD_SPANS[0][0])
+
+    def crashing_transition_symbolic(c, _real=residues.transition_symbolic):
+        crash(residues.declassify(c))
+        return _real(c)
+
+    monkeypatch.setattr(residues, "transition_symbolic", crashing_transition_symbolic)
+    assert cli.run(["verify", "transitions", "--max", "300", "--workers", "2"]) == 1
+    out, err = capsys.readouterr()
+    assert "PASS" not in out
+    names = ", ".join(f"[{a}, {b})" for a, b in _CLI_CHILD_SPANS)
+    assert err == f"error: the worker for spans {names} exited with status 3\n"
+
+
+def test_worker_exception_keeps_its_type(monkeypatch):
+    at = _CLI_CHILD_SPANS[2][0] + 5
+    violate = _planted(partial(_raise, IdentityViolation(f"planted at {at}")), at)
+
+    def violating_transition_symbolic(c, _real=residues.transition_symbolic):
+        violate(residues.declassify(c))
+        return _real(c)
+
+    monkeypatch.setattr(residues, "transition_symbolic", violating_transition_symbolic)
+    with pytest.raises(IdentityViolation, match=f"^planted at {at}$") as info:
+        verify_transitions(300, workers=2)
+    # the cause carries the child's traceback
+    assert isinstance(info.value.__cause__, SweepWorkerError)
+    assert "violating_transition_symbolic" in str(info.value.__cause__)
+
+
+def test_unpicklable_worker_exception_becomes_a_sweep_worker_error():
+    class Local(Exception):  # a local class cannot be pickled
+        pass
+
+    check = _planted(partial(_raise, Local("not portable")), _CHILD_SPANS[0][0])
+    with pytest.raises(SweepWorkerError) as info:
+        run_sweep("unpicklable", check, 0, 100, workers=2)
+    assert str(info.value) == (
+        f"the worker for spans {_CHILD_SPAN_NAMES} raised Local('not portable'), "
+        "which cannot be pickled"
+    )
+
+
+# At three workers over [0, 10^5), the first child starts with this input
+# and the test process scans _IN_PARENT itself.  When either fails, the
+# second child has not been reaped yet.
+_FIRST_CHILD_INPUT = _spans(0, 10**5, 12)[1][0]
+_IN_PARENT = 3
+
+
+@pytest.mark.parametrize(
+    "check, raises",
+    [
+        (_planted(partial(os._exit, 3), _FIRST_CHILD_INPUT), SweepWorkerError),
+        (_planted(partial(_raise, IdentityViolation()), _FIRST_CHILD_INPUT), IdentityViolation),
+        (_planted(partial(_raise, IdentityViolation()), _IN_PARENT, False), IdentityViolation),
+        (_planted(partial(_raise, KeyboardInterrupt()), _IN_PARENT, False), KeyboardInterrupt),
+    ],
+    ids=["child-exits", "child-raises", "parent-raises", "parent-interrupted"],
+)
+def test_no_worker_outlives_a_failed_sweep(check, raises):
+    with pytest.raises(raises):
+        run_sweep("failing", check, 0, 10**5, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_a_failed_fork_leaves_no_child_and_no_pipe(monkeypatch):
+    forks = []
+
+    def second_fork_fails(_real=os.fork):
+        forks.append(None)
+        if len(forks) == 2:
+            raise OSError(errno.EAGAIN, "planted fork failure")
+        return _real()
+
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", second_fork_fails)
+    with pytest.raises(OSError, match="planted fork failure"):
+        run_sweep("fork fails", lambda z: None, 0, 10**5, workers=3)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+
+
+def test_a_parallel_sweep_warns_nothing():
+    # Python 3.12 and later warn when fork runs in a process with other
+    # threads.  The warning comes from C, and an "error" filter does not
+    # turn it into an exception there, so it is recorded instead.
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        assert verify_transitions(300, workers=2).passed
+    assert [str(w.message) for w in seen] == []
+
+
+def test_import_loads_no_pool_machinery():
+    code = (
+        "import collatz_lab, sys; "
+        "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
+    )
+    src = str(Path(collatz_lab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_blocks_report_records_limit_and_premise():
