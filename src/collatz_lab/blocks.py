@@ -9,9 +9,20 @@ to a beta.  The indices obey
           + (3^(m+1) - 2^m - 2^(e+m)) / 2^(e+m+1)
 
 an affine map k_out = A*k_in + B whose denominators clear exactly on real
-blocks; ``recurrence_holds`` asserts the cleared integer form.  Iterating
-blocks walks beta to beta; the fixed point k = 0 is the trivial loop
-2 -> 1 -> 4 -> 2.  The affine form also makes sense for *formal* parameter
+blocks.  Iterating blocks walks beta to beta; the fixed point k = 0 is the
+trivial loop 2 -> 1 -> 4 -> 2.
+
+The recurrence has one encoding here, the cleared-integer ``block_step``.
+A state (P, T, S) starts at ``START`` = (1, 1, 0), and block (m, e) maps it
+to
+
+    (P * 2^(e+m+1),  T * 3^(m+1),  S * 3^(m+1) + c * P),
+    c = 3^(m+1) - 2^m - 2^(e+m),
+
+so that after n blocks k_n = (T * k_0 + S) / P.  ``recurrence_holds``
+returns whether a real block balances one step, ``closed_form_k`` folds the
+step over a parameter list, and the cycle search (``cycles``) folds it over
+whole parameter boxes.  The step also makes sense for *formal* parameter
 lists (m_j, e_j) that need not come from a real trajectory, which is what
 the cycle search exploits.
 """
@@ -33,11 +44,10 @@ __all__ = [
     "block_path",
     "decompose",
     "decompose_until_trivial",
+    "block_step",
+    "check_params",
     "recurrence_holds",
     "verify_recurrence",
-    "formal_coefficients",
-    "affine_coefficients",
-    "iterate_affine",
     "closed_form_k",
     "block_counterexample",
 ]
@@ -158,30 +168,51 @@ def decompose_until_trivial(k0: int, max_blocks: int = 10**5) -> BlockSequence:
     return BlockSequence(out)
 
 
+State = tuple[int, int, int]
+START: State = (1, 1, 0)  # the state of no blocks: k_0 = (1 * k_0 + 0) / 1
+
+
+def block_step(state: State, m: int, e: int) -> State:
+    """The cleared state (P, T, S) after one more block (m, e)."""
+    p, t, s = state
+    three = 3 ** (m + 1)
+    return p << (e + m + 1), t * three, s * three + (three - (1 << m) - (1 << (e + m))) * p
+
+
+def check_params(m_seq: Sequence[int], e_seq: Sequence[int]) -> None:
+    """Raise DomainError unless the lists are equal-length and non-empty,
+    with every m >= 0 and every e >= 1."""
+    if not m_seq or len(m_seq) != len(e_seq):
+        raise DomainError(
+            f"need equal-length, non-empty parameter lists, got {list(m_seq)} and {list(e_seq)}"
+        )
+    for m, e in zip(m_seq, e_seq):
+        if m < 0 or e < 1:
+            raise DomainError(f"need m >= 0 and e >= 1, got (m, e) = ({m}, {e})")
+
+
 def recurrence_holds(b: Block) -> bool:
-    """Integer (cleared-denominator) form of the block recurrence."""
-    lhs = b.k_out * 2 ** (b.e + b.m + 1)
-    rhs = b.k_in * 3 ** (b.m + 1) + 3 ** (b.m + 1) - 2**b.m - 2 ** (b.e + b.m)
-    return lhs == rhs
+    """Does the block balance one cleared step, P * k_out == T * k_in + S?"""
+    p, t, s = block_step(START, b.m, b.e)
+    return p * b.k_out == t * b.k_in + s
 
 
 def verify_recurrence(bs: BlockSequence):
-    """Evaluate the affine recurrence in exact rationals on every block and
-    report any violation (expected: none, ever)."""
+    """Evaluate the recurrence in exact rationals on every block and report
+    any violation (expected: none, ever)."""
     from .report import Counterexample, VerificationReport
 
     if not bs.blocks:
         raise DomainError("empty block sequence")
     bad = []
     for i, b in enumerate(bs.blocks):
-        a, off = affine_coefficients(b)
-        predicted = a * b.k_in + off
+        predicted = closed_form_k(b.k_in, (b.m,), (b.e,))
         if predicted != b.k_out:
             bad.append(
                 Counterexample(f"block {i} k_in={b.k_in}", str(b.k_out), str(predicted))
             )
     return VerificationReport(
-        command="verify blocks",
+        command="blocks recurrence",
         checked=len(bs.blocks),
         counterexamples=bad,
         elapsed_ms=0,
@@ -189,49 +220,19 @@ def verify_recurrence(bs: BlockSequence):
     )
 
 
-def formal_coefficients(m: int, e: int) -> tuple[Fraction, Fraction]:
-    """(A, B) of the affine map k -> A*k + B for formal parameters (m, e)."""
-    if m < 0 or e < 1:
-        raise DomainError(f"need m >= 0 and e >= 1, got (m, e) = ({m}, {e})")
-    den = 2 ** (e + m + 1)
-    return Fraction(3 ** (m + 1), den), Fraction(3 ** (m + 1) - 2**m - 2 ** (e + m), den)
-
-
-def affine_coefficients(b: Block) -> tuple[Fraction, Fraction]:
-    return formal_coefficients(b.m, b.e)
-
-
-def iterate_affine(k0, m_seq: Sequence[int], e_seq: Sequence[int]) -> list[Fraction]:
-    """Apply the affine maps for (m_seq[j], e_seq[j]) in order; returns
-    [k0, k1, ..., kn] as exact fractions."""
-    if len(m_seq) != len(e_seq):
-        raise DomainError(f"parameter lists differ in length: {len(m_seq)} vs {len(e_seq)}")
-    ks = [Fraction(k0)]
-    for m, e in zip(m_seq, e_seq):
-        a, b = formal_coefficients(m, e)
-        ks.append(ks[-1] * a + b)
-    return ks
-
-
 def closed_form_k(k0, m_seq: Sequence[int], e_seq: Sequence[int]) -> Fraction:
-    """k_n written directly as k0 * prod(A_j) + sum_j B_j * prod_{i>j} A_i.
+    """k_n = (T * k0 + S) / P, with (P, T, S) the step folded over the list.
 
     Non-integral results are legal: formal parameter lists need not describe
     any real trajectory.  On lists taken from a real decomposition this
     equals the decomposition's final k_out.
     """
-    if len(m_seq) != len(e_seq) or not m_seq:
-        raise DomainError("need equal-length, non-empty parameter lists")
-    coeffs = [formal_coefficients(m, e) for m, e in zip(m_seq, e_seq)]
-    total = Fraction(k0)
-    for a, _ in coeffs:
-        total *= a
-    for j, (_, b) in enumerate(coeffs):
-        tail = b
-        for a, _ in coeffs[j + 1 :]:
-            tail *= a
-        total += tail
-    return total
+    check_params(m_seq, e_seq)
+    state = START
+    for m, e in zip(m_seq, e_seq):
+        state = block_step(state, m, e)
+    p, t, s = state
+    return Fraction(t * k0 + s, p)
 
 
 def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:

@@ -17,6 +17,7 @@ import argparse
 import sys
 import time
 from collections import Counter as _Tally
+from typing import Callable, Iterable
 
 from .core import DEFAULT_STEP_LIMIT, backward_tree, records_sweep, trajectory
 from .cycles import CycleSolution, count_candidates, search_cycles
@@ -24,13 +25,7 @@ from .errors import CollatzLabError
 from .polyline import class_from_polyline, to_polyline
 from .report import FORMATS, Counterexample, VerificationReport, export_report
 from .residues import classify
-from .sweeps import (
-    verify_beta_chains,
-    verify_blocks,
-    verify_convergence,
-    verify_polylines,
-    verify_transitions,
-)
+from .sweeps import SWEEPS, _verify
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -84,16 +79,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_polyline)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument(
-        "what",
-        choices=("transitions", "beta-chain", "blocks", "polyline", "convergence"),
-    )
+    p.add_argument("what", choices=tuple(SWEEPS))
     p.add_argument("--max", type=_positive, required=True, dest="max_value")
     p.add_argument(
         "--limit",
         type=_positive,
         default=None,
-        help=f"raw-step budget of blocks and convergence (default {DEFAULT_STEP_LIMIT})",
+        help=f"raw-step budget of {' and '.join(n for n, s in SWEEPS.items() if s.takes_limit)}"
+        f" (default {DEFAULT_STEP_LIMIT})",
     )
     p.add_argument("--workers", type=_positive, default=None)
     _add_output_flags(p)
@@ -122,12 +115,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(data: bytes, out: str | None) -> None:
-    if out is None:
+def _emit(args, make: Callable[[], tuple[VerificationReport, Iterable[str]]]) -> int:
+    """Time ``make``, which does a command's work and returns its report
+    and the lines listed above the report in text format.  Stamp the report
+    with that time, write it to ``--out`` or standard output in
+    ``--format``, and return 0 on PASS, 2 on FAIL."""
+    start = time.perf_counter()
+    report, listing = make()
+    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
+    data = export_report(report, args.format)
+    if args.format == "text":
+        data = "".join(f"{line}\n" for line in listing).encode() + data
+    if args.out is None:
         sys.stdout.write(data.decode())
     else:
-        with open(out, "wb") as fh:
+        with open(args.out, "wb") as fh:
             fh.write(data)
+    return 0 if report.passed else 2
 
 
 def _cmd_classify(args) -> int:
@@ -150,22 +154,10 @@ def _cmd_polyline(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    what = args.what
-    if args.limit is not None and what not in ("blocks", "convergence"):
-        raise UsageError(f"--limit does not apply to verify {what}")
+    if args.limit is not None and not SWEEPS[args.what].takes_limit:
+        raise UsageError(f"--limit does not apply to verify {args.what}")
     limit = args.limit or DEFAULT_STEP_LIMIT
-    if what == "transitions":
-        report = verify_transitions(args.max_value, args.workers)
-    elif what == "beta-chain":
-        report = verify_beta_chains(args.max_value, args.workers)
-    elif what == "blocks":
-        report = verify_blocks(args.max_value, args.workers, step_limit=limit)
-    elif what == "polyline":
-        report = verify_polylines(args.max_value, args.workers)
-    else:
-        report = verify_convergence(args.max_value, limit, args.workers)
-    _write(export_report(report, args.format), args.out)
-    return 0 if report.passed else 2
+    return _emit(args, lambda: (_verify(args.what, args.max_value, args.workers, limit), ()))
 
 
 def _cycle_line(s: CycleSolution) -> str:
@@ -176,85 +168,72 @@ def _cycle_line(s: CycleSolution) -> str:
 
 
 def _cmd_cycles_search(args) -> int:
-    start = time.perf_counter()
-    solutions = search_cycles(args.n_max, args.budget)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    lines = [_cycle_line(s) for s in solutions]
-    # Anything beyond the trivial fixed point k0 = 0, or anything the real
-    # map refuses to follow, would contradict the only-trivial-cycle claim.
-    bad = [
-        Counterexample(
-            _cycle_line(s), "trivial cycle (k0=0, simulation valid)", f"k0={s.k0}"
+    def make():
+        solutions = search_cycles(args.n_max, args.budget)
+        lines = [_cycle_line(s) for s in solutions]
+        # Anything beyond the trivial fixed point k0 = 0, or anything the
+        # real map refuses to follow, would contradict the only-trivial-cycle
+        # claim.
+        bad = [
+            Counterexample(
+                _cycle_line(s), "trivial cycle (k0=0, simulation valid)", f"k0={s.k0}"
+            )
+            for s in solutions
+            if s.k0 != 0 or not s.simulated_ok
+        ]
+        report = VerificationReport(
+            command="cycles search",
+            checked=count_candidates(args.n_max, args.budget),
+            counterexamples=bad,
+            elapsed_ms=0,
+            config={
+                "n_max": str(args.n_max),
+                "budget": str(args.budget),
+                "solutions": "; ".join(lines) if lines else "none",
+            },
         )
-        for s in solutions
-        if s.k0 != 0 or not s.simulated_ok
-    ]
-    report = VerificationReport(
-        command="cycles search",
-        checked=count_candidates(args.n_max, args.budget),
-        counterexamples=bad,
-        elapsed_ms=elapsed_ms,
-        config={
-            "n_max": str(args.n_max),
-            "budget": str(args.budget),
-            "solutions": "; ".join(lines) if lines else "none",
-        },
-    )
-    data = export_report(report, args.format)
-    if args.format == "text":
-        listing = "".join(f"cycle: {line}\n" for line in lines)
-        data = listing.encode() + data
-    _write(data, args.out)
-    return 0 if report.passed else 2
+        return report, [f"cycle: {line}" for line in lines]
+
+    return _emit(args, make)
 
 
 def _cmd_records(args) -> int:
-    start = time.perf_counter()
-    table = records_sweep(args.max_value, args.kind, args.limit)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    report = VerificationReport(
-        command=f"records {args.kind}",
-        checked=args.max_value - 1,
-        counterexamples=[],
-        elapsed_ms=elapsed_ms,
-        config={
-            "max": str(args.max_value),
-            "limit": str(args.limit),
-            "entries": " ".join(f"{n}:{v}" for n, v in table.entries),
-        },
-    )
-    data = export_report(report, args.format)
-    if args.format == "text":
-        listing = "".join(f"{n} {v}\n" for n, v in table.entries)
-        data = listing.encode() + data
-    _write(data, args.out)
-    return 0
+    def make():
+        table = records_sweep(args.max_value, args.kind, args.limit)
+        report = VerificationReport(
+            command=f"records {args.kind}",
+            checked=args.max_value - 1,
+            counterexamples=[],
+            elapsed_ms=0,
+            config={
+                "max": str(args.max_value),
+                "limit": str(args.limit),
+                "entries": " ".join(f"{n}:{v}" for n, v in table.entries),
+            },
+        )
+        return report, [f"{n} {v}" for n, v in table.entries]
+
+    return _emit(args, make)
 
 
 def _cmd_tree(args) -> int:
-    start = time.perf_counter()
-    tree = backward_tree(args.depth)
-    elapsed_ms = int((time.perf_counter() - start) * 1000)
-    per_level = _Tally(node.depth for node in tree.nodes.values())
-    report = VerificationReport(
-        command="tree",
-        checked=len(tree.nodes),
-        counterexamples=[],
-        elapsed_ms=elapsed_ms,
-        config={
-            "depth": str(args.depth),
-            "nodes": str(len(tree.nodes)),
-            "max_value": str(max(tree.nodes)),
-        },
-    )
-    data = export_report(report, args.format)
-    if args.format == "text":
-        listing = "".join(
-            f"level {d}: {per_level.get(d, 0)}\n" for d in range(args.depth + 1)
+    def make():
+        tree = backward_tree(args.depth)
+        per_level = _Tally(node.depth for node in tree.nodes.values())
+        report = VerificationReport(
+            command="tree",
+            checked=len(tree.nodes),
+            counterexamples=[],
+            elapsed_ms=0,
+            config={
+                "depth": str(args.depth),
+                "nodes": str(len(tree.nodes)),
+                "max_value": str(max(tree.nodes)),
+            },
         )
-        data = listing.encode() + data
-    _write(data, args.out)
-    return 0
+        return report, [f"level {d}: {per_level.get(d, 0)}" for d in range(args.depth + 1)]
+
+    return _emit(args, make)
 
 
 def run(argv=None) -> int:

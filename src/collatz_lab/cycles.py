@@ -5,14 +5,10 @@ A trajectory cycle through beta values corresponds to a parameter list
 fixed point k0 is a non-negative integer *and* whose actual block
 decomposition reproduces exactly those parameters.
 
-Every closure here rests on one cleared-integer block step.  The state
-(P, T, S) starts at (1, 1, 0), and block (m, e) maps it to
-
-    (P * 2^(e+m+1),  T * 3^(m+1),  S * 3^(m+1) + c * P),
-    c = 3^(m+1) - 2^m - 2^(e+m).
-
-After n blocks, P and T are the products of the blocks' powers of 2 and 3,
-and the closure condition k_n = k_0 reads
+Every closure here rests on the cleared-integer block step
+``blocks.block_step``: the state (P, T, S) starts at (1, 1, 0), and after
+n blocks P and T are the products of the blocks' powers of 2 and 3, and
+k_n = (T * k_0 + S) / P.  The closure condition k_n = k_0 therefore reads
 
     k0 * (P - T) = S.
 
@@ -34,7 +30,8 @@ from fractions import Fraction
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import decompose
+from .blocks import START, State, check_params, decompose
+from .blocks import block_step as _extend  # a module global: one lookup in the search loop
 from .errors import DomainError, IdentityViolation
 
 __all__ = [
@@ -65,30 +62,11 @@ class CycleSolution(NamedTuple):
     simulated_ok: bool
 
 
-State = tuple[int, int, int]
-_START: State = (1, 1, 0)
-
-
-def _extend(state: State, m: int, e: int) -> State:
-    """The cleared state (P, T, S) after one more block (m, e)."""
-    p, t, s = state
-    three = 3 ** (m + 1)
-    return p << (e + m + 1), t * three, s * three + (three - (1 << m) - (1 << (e + m))) * p
-
-
 def _fixed_point(state: State) -> Fraction:
     p, t, s = state
     if p == t:
         raise IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
     return Fraction(s, p - t)
-
-
-def _validate(c: CycleCandidate) -> None:
-    if c.n < 1 or len(c.e_seq) != c.n:
-        raise DomainError(f"need equal-length, non-empty parameter lists, got {c}")
-    for m, e in zip(c.m_seq, c.e_seq):
-        if m < 0 or e < 1:
-            raise DomainError(f"need m >= 0 and e >= 1, got (m, e) = ({m}, {e})")
 
 
 def _simulate(c: CycleCandidate, k0: int) -> bool:
@@ -108,8 +86,8 @@ def _hit(pairs: Sequence[tuple[int, int]], k0: int) -> CycleSolution:
 
 def cycle_k_n1(m: int, e: int) -> Fraction:
     """Fixed point of a single formal block with parameters (m, e)."""
-    _validate(CycleCandidate((m,), (e,)))
-    return _fixed_point(_extend(_START, m, e))
+    check_params((m,), (e,))
+    return _fixed_point(_extend(START, m, e))
 
 
 def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
@@ -121,8 +99,8 @@ def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
 
         k0 = S / (prod_j 2^(e_j+m_j+1) - prod_j 3^(m_j+1)).
     """
-    _validate(c)
-    state = _START
+    check_params(c.m_seq, c.e_seq)
+    state = START
     for m, e in zip(c.m_seq, c.e_seq):
         state = _extend(state, m, e)
     k0 = _fixed_point(state)
@@ -140,7 +118,7 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     found = []
     for m in range(m_max + 1):
         for e in range(1, e_max + 1):
-            p, t, s = _extend(_START, m, e)
+            p, t, s = _extend(START, m, e)
             q, r = divmod(s, p - t)
             if not r and q >= 0:
                 found.append(_hit([(m, e)], q))
@@ -179,7 +157,7 @@ def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
                     walk(child, left, depth + 1)
                     path.pop()
 
-    walk(_START, exp_budget, 0)
+    walk(START, exp_budget, 0)
     return [sol for group in by_length for sol in group]
 
 

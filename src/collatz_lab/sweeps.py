@@ -39,7 +39,7 @@ import pickle
 import signal
 import time
 from functools import cache, partial
-from typing import Callable, Iterable, NoReturn
+from typing import Callable, Iterable, NamedTuple, NoReturn
 
 from .beta_chain import chain_counterexample
 from .blocks import block_counterexample
@@ -53,6 +53,7 @@ __all__ = [
     "WORKERS_ENV",
     "resolve_workers",
     "run_sweep",
+    "SWEEPS",
     "verify_transitions",
     "verify_beta_chains",
     "verify_blocks",
@@ -268,78 +269,6 @@ def run_sweep(
     )
 
 
-def verify_transitions(z_max: int, workers: int | None = None) -> VerificationReport:
-    """The symbolic class-transition table against the real map, z <= z_max."""
-    if z_max < 1:
-        raise DomainError(f"z_max must be >= 1, got {z_max}")
-    return run_sweep(
-        "verify transitions",
-        transition_counterexample,
-        1,
-        z_max + 1,
-        workers=workers,
-        config={"max": str(z_max)},
-    )
-
-
-def verify_beta_chains(k_max: int, workers: int | None = None) -> VerificationReport:
-    """Chain solver, case ladder, exact identity and replayed chains, k <= k_max."""
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
-    return run_sweep(
-        "verify beta-chain",
-        chain_counterexample,
-        0,
-        k_max + 1,
-        workers=workers,
-        config={"max": str(k_max)},
-    )
-
-
-def verify_blocks(
-    k_max: int,
-    workers: int | None = None,
-    *,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> VerificationReport:
-    """Block decompositions against raw trajectories, k0 <= k_max.
-
-    Each k0 is walked only until a block lands below it, within
-    ``step_limit`` raw steps.  That covers every block of the full
-    decompositions by strong induction: the range starts at 0, so the walk
-    from each smaller k is checked in the same report.  The report's
-    ``premise`` config entry records this.
-    """
-    if k_max < 0:
-        raise DomainError(f"k_max must be >= 0, got {k_max}")
-    return run_sweep(
-        "verify blocks",
-        partial(block_counterexample, step_limit=step_limit),
-        0,
-        k_max + 1,
-        workers=workers,
-        config={
-            "max": str(k_max),
-            "limit": str(step_limit),
-            "premise": "each walk stops below its start; every smaller k0 is in this sweep",
-        },
-    )
-
-
-def verify_polylines(z_max: int, workers: int | None = None) -> VerificationReport:
-    """Coordinate roundtrip, class agreement, closed form and step law, z <= z_max."""
-    if z_max < 1:
-        raise DomainError(f"z_max must be >= 1, got {z_max}")
-    return run_sweep(
-        "verify polyline",
-        polyline_counterexample,
-        1,
-        z_max + 1,
-        workers=workers,
-        config={"max": str(z_max)},
-    )
-
-
 def _drop_check(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:
     """Does n fall below itself within ``step_limit`` raw steps?"""
     v = n
@@ -394,6 +323,105 @@ def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int
                 yield base + b
 
 
+def _sieve(step_limit: int) -> InputsFn:
+    """The convergence sweep's inputs: the n of each span in classes the
+    sieve leaves open.  Called in the calling process, so that forked
+    workers inherit the table."""
+    return partial(_sieved_inputs, survivors=_sieve_survivors(step_limit))
+
+
+class Sweep(NamedTuple):
+    """One verification sweep.  ``check`` runs on each input from ``start``
+    to the top of the range; ``start`` is also the least top allowed, and
+    ``top_name`` names the top in the error for one below it.  When
+    ``takes_limit``, ``check`` takes a ``step_limit`` keyword, the limit is
+    recorded in the report, and ``sieve(step_limit)``, if given, picks the
+    inputs that need a check.  ``config`` goes into the report as it is."""
+
+    check: Callable[..., tuple[object, object] | None]
+    start: int
+    top_name: str
+    takes_limit: bool = False
+    config: dict[str, str] = {}
+    sieve: Callable[[int], InputsFn] | None = None
+
+
+# The sweeps of ``verify``, by the name the command line uses; each report's
+# command is "verify <name>".
+SWEEPS: dict[str, Sweep] = {
+    "transitions": Sweep(transition_counterexample, 1, "z_max"),
+    "beta-chain": Sweep(chain_counterexample, 0, "k_max"),
+    "blocks": Sweep(
+        block_counterexample,
+        0,
+        "k_max",
+        takes_limit=True,
+        config={"premise": "each walk stops below its start; every smaller k0 is in this sweep"},
+    ),
+    "polyline": Sweep(polyline_counterexample, 1, "z_max"),
+    "convergence": Sweep(_drop_check, 2, "n_max", takes_limit=True, sieve=_sieve),
+}
+
+
+def _verify(
+    name: str, top: int, workers: int | None, step_limit: int = DEFAULT_STEP_LIMIT
+) -> VerificationReport:
+    """Run the sweep ``SWEEPS[name]`` over [start, top]; ``step_limit`` is
+    ignored by a sweep that takes none."""
+    sweep = SWEEPS[name]
+    if top < sweep.start:
+        raise DomainError(f"{sweep.top_name} must be >= {sweep.start}, got {top}")
+    check, inputs, config = sweep.check, range, {"max": str(top), **sweep.config}
+    if sweep.takes_limit:
+        if step_limit < 1:
+            raise DomainError(f"step_limit must be >= 1, got {step_limit}")
+        check = partial(check, step_limit=step_limit)
+        config["limit"] = str(step_limit)
+        if sweep.sieve is not None:
+            inputs = sweep.sieve(step_limit)
+    return run_sweep(
+        f"verify {name}",
+        check,
+        sweep.start,
+        top + 1,
+        workers=workers,
+        config=config,
+        inputs=inputs,
+    )
+
+
+def verify_transitions(z_max: int, workers: int | None = None) -> VerificationReport:
+    """The symbolic class-transition table against the real map, z <= z_max."""
+    return _verify("transitions", z_max, workers)
+
+
+def verify_beta_chains(k_max: int, workers: int | None = None) -> VerificationReport:
+    """Chain solver, case ladder, exact identity and replayed chains, k <= k_max."""
+    return _verify("beta-chain", k_max, workers)
+
+
+def verify_blocks(
+    k_max: int,
+    workers: int | None = None,
+    *,
+    step_limit: int = DEFAULT_STEP_LIMIT,
+) -> VerificationReport:
+    """Block decompositions against raw trajectories, k0 <= k_max.
+
+    Each k0 is walked only until a block lands below it, within
+    ``step_limit`` raw steps.  That covers every block of the full
+    decompositions by strong induction: the range starts at 0, so the walk
+    from each smaller k is checked in the same report.  The report's
+    ``premise`` config entry records this.
+    """
+    return _verify("blocks", k_max, workers, step_limit)
+
+
+def verify_polylines(z_max: int, workers: int | None = None) -> VerificationReport:
+    """Coordinate roundtrip, class agreement, closed form and step law, z <= z_max."""
+    return _verify("polyline", z_max, workers)
+
+
 def verify_convergence(
     n_max: int,
     step_limit: int = DEFAULT_STEP_LIMIT,
@@ -408,16 +436,4 @@ def verify_convergence(
     every other n is proven to fall below itself by its class.  The
     counterexamples are exactly those of ``_drop_check`` on every n.
     """
-    if n_max < 2:
-        raise DomainError(f"n_max must be >= 2, got {n_max}")
-    # Built here, in the calling process, so that forked workers inherit it.
-    survivors = _sieve_survivors(step_limit)
-    return run_sweep(
-        "verify convergence",
-        partial(_drop_check, step_limit=step_limit),
-        2,
-        n_max + 1,
-        workers=workers,
-        config={"max": str(n_max), "limit": str(step_limit)},
-        inputs=partial(_sieved_inputs, survivors=survivors),
-    )
+    return _verify("convergence", n_max, workers, step_limit)

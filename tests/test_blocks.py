@@ -7,19 +7,65 @@ from hypothesis import strategies as st
 from collatz_lab.blocks import (
     Block,
     BlockSequence,
-    affine_coefficients,
     block_counterexample,
     block_path,
     closed_form_k,
     decompose,
     decompose_until_trivial,
-    iterate_affine,
     make_block,
     recurrence_holds,
     verify_recurrence,
 )
 from collatz_lab.core import step_c
+from collatz_lab.cycles import CycleCandidate, cycle_equation_general
 from collatz_lab.errors import DomainError, LimitExceeded
+
+# ---- reference bodies -------------------------------------------------------
+# The Fraction forms of the recurrence that the cleared block step replaced:
+# per-block coefficients (A, B), step-by-step iteration, and the O(n^2)
+# closed form k0 * prod(A_j) + sum_j B_j * prod_{i>j} A_i.
+
+
+def ref_formal_coefficients(m, e):
+    """(A, B) of the affine map k -> A*k + B for formal parameters (m, e)."""
+    if m < 0 or e < 1:
+        raise DomainError(f"need m >= 0 and e >= 1, got (m, e) = ({m}, {e})")
+    den = 2 ** (e + m + 1)
+    return Fraction(3 ** (m + 1), den), Fraction(3 ** (m + 1) - 2**m - 2 ** (e + m), den)
+
+
+def ref_iterate_affine(k0, m_seq, e_seq):
+    """[k0, k1, ..., kn] as exact fractions."""
+    if len(m_seq) != len(e_seq):
+        raise DomainError(f"parameter lists differ in length: {len(m_seq)} vs {len(e_seq)}")
+    ks = [Fraction(k0)]
+    for m, e in zip(m_seq, e_seq):
+        a, b = ref_formal_coefficients(m, e)
+        ks.append(ks[-1] * a + b)
+    return ks
+
+
+def ref_closed_form_k(k0, m_seq, e_seq):
+    if len(m_seq) != len(e_seq) or not m_seq:
+        raise DomainError("need equal-length, non-empty parameter lists")
+    coeffs = [ref_formal_coefficients(m, e) for m, e in zip(m_seq, e_seq)]
+    total = Fraction(k0)
+    for a, _ in coeffs:
+        total *= a
+    for j, (_, b) in enumerate(coeffs):
+        tail = b
+        for a, _ in coeffs[j + 1 :]:
+            tail *= a
+        total += tail
+    return total
+
+
+def ref_recurrence_holds(b):
+    a, off = ref_formal_coefficients(b.m, b.e)
+    return a * b.k_in + off == b.k_out
+
+
+# ---- tests ------------------------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -46,7 +92,7 @@ def test_block_invariants(k0):
     assert b.g == 3 * b.h
     assert b.e >= 1
     assert recurrence_holds(b)
-    a, off = affine_coefficients(b)
+    a, off = ref_formal_coefficients(b.m, b.e)
     assert a * b.k_in + off == b.k_out
 
 
@@ -97,6 +143,8 @@ def test_decompose_until_trivial():
 def test_verify_recurrence_passes():
     report = verify_recurrence(decompose(6, 5))
     assert report.passed and report.checked == 5
+    # its own name: the range sweep of verify_blocks is "verify blocks"
+    assert report.command == "blocks recurrence"
 
 
 def test_verify_recurrence_flags_tampering():
@@ -107,6 +155,9 @@ def test_verify_recurrence_flags_tampering():
     assert not report.passed
     assert len(report.counterexamples) == 2
     assert report.counterexamples[0].input.startswith("block 1")
+    for c, b in zip(report.counterexamples, bs.blocks[1:]):
+        a, off = ref_formal_coefficients(b.m, b.e)
+        assert (c.expected, c.actual) == (str(b.k_out), str(a * b.k_in + off))
 
 
 def test_closed_form_spots():
@@ -119,7 +170,9 @@ def test_closed_form_spots():
 @given(st.integers(min_value=0, max_value=4000), st.integers(min_value=1, max_value=12))
 def test_closed_form_equals_real_decomposition(k0, n):
     bs = decompose(k0, n)
-    assert closed_form_k(k0, bs.m_seq, bs.e_seq) == bs.blocks[-1].k_out
+    k = closed_form_k(k0, bs.m_seq, bs.e_seq)
+    assert k == bs.blocks[-1].k_out
+    assert k == ref_closed_form_k(k0, bs.m_seq, bs.e_seq) and type(k) is Fraction
 
 
 @given(
@@ -132,11 +185,34 @@ def test_closed_form_equals_real_decomposition(k0, n):
 )
 def test_closed_form_equals_iterated_affine(k0, pairs):
     # formal parameter lists: closed form == step-by-step affine iteration
+    # == the O(n^2) closed form, exactly and as a Fraction
     m_seq = [m for m, _ in pairs]
     e_seq = [e for _, e in pairs]
-    ks = iterate_affine(k0, m_seq, e_seq)
-    assert closed_form_k(k0, m_seq, e_seq) == ks[-1]
-    assert isinstance(ks[-1], Fraction)
+    ks = ref_iterate_affine(k0, m_seq, e_seq)
+    k = closed_form_k(k0, m_seq, e_seq)
+    assert k == ks[-1] == ref_closed_form_k(k0, m_seq, e_seq)
+    assert isinstance(ks[-1], Fraction) and type(k) is Fraction
+
+
+def test_recurrence_holds_agrees_with_reference():
+    for k0 in range(30_001):
+        b = make_block(k0)
+        for x in (b, b._replace(k_out=b.k_out + 1), b._replace(k_in=b.k_in + 1)):
+            assert recurrence_holds(x) == ref_recurrence_holds(x)
+
+
+@pytest.mark.parametrize(
+    "m_seq, e_seq",
+    [([-1], [1]), ([0], [0]), ([0, 1], [1, 1, 1]), ([0], []), ([], [])],
+    ids=["m-negative", "e-zero", "unequal", "unequal-empty", "empty"],
+)
+def test_closed_form_domain(m_seq, e_seq):
+    with pytest.raises(DomainError):
+        closed_form_k(0, m_seq, e_seq)
+    with pytest.raises(DomainError):
+        cycle_equation_general(CycleCandidate(tuple(m_seq), tuple(e_seq)))
+    with pytest.raises(DomainError):
+        ref_closed_form_k(0, m_seq, e_seq)
 
 
 def _full_walk_counterexample(k0, make=make_block):

@@ -1,12 +1,24 @@
+import importlib
 import json
+import pkgutil
 
 import pytest
 
+import collatz_lab
 from collatz_lab import cli
+from collatz_lab.core import DEFAULT_STEP_LIMIT
 from collatz_lab.errors import DomainError
 from collatz_lab.report import Counterexample, VerificationReport, export_report
 from collatz_lab.residues import ClassifiedInt
-from collatz_lab.sweeps import resolve_workers
+from collatz_lab.sweeps import (
+    SWEEPS,
+    resolve_workers,
+    verify_beta_chains,
+    verify_blocks,
+    verify_convergence,
+    verify_polylines,
+    verify_transitions,
+)
 
 
 def run(*argv):
@@ -84,6 +96,47 @@ def test_limit_rejected_where_it_does_not_apply(what, capsys):
 def test_limit_applies_to_blocks_and_convergence(argv, code, capsys):
     assert run(*argv, "--workers", "1") == code
     assert ("result: FAIL" if code else "result: PASS") in capsys.readouterr().out
+
+
+# Each registry row's public function, called as the CLI would at --max 300.
+_PUBLIC = {
+    "transitions": lambda limit: verify_transitions(300, 1),
+    "beta-chain": lambda limit: verify_beta_chains(300, 1),
+    "blocks": lambda limit: verify_blocks(300, 1, step_limit=limit),
+    "polyline": lambda limit: verify_polylines(300, 1),
+    "convergence": lambda limit: verify_convergence(300, limit, 1),
+}
+
+
+def _without_elapsed(data):
+    payload = json.loads(data)
+    del payload["elapsed_ms"]
+    return payload
+
+
+@pytest.mark.parametrize(
+    "what, limit",
+    [(what, None) for what in sorted(SWEEPS)]
+    + [(what, 20) for what in sorted(SWEEPS) if SWEEPS[what].takes_limit],
+)
+def test_cli_verify_equals_library_report(what, limit, capsys):
+    extra = () if limit is None else ("--limit", str(limit))
+    code = run("verify", what, "--max", "300", "--workers", "1", "--format", "json", *extra)
+    out = capsys.readouterr().out
+    report = _PUBLIC[what](limit or DEFAULT_STEP_LIMIT)
+    assert code == (0 if report.passed else 2)
+    assert _without_elapsed(out) == _without_elapsed(export_report(report, "json"))
+
+
+def test_every_exported_name_resolves():
+    modules = [collatz_lab] + [
+        importlib.import_module(f"collatz_lab.{info.name}")
+        for info in pkgutil.iter_modules(collatz_lab.__path__)
+        if info.name != "__main__"
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_corrupted_transition_table_exits_2(monkeypatch, capsys):

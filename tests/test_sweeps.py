@@ -13,7 +13,7 @@ import pytest
 import collatz_lab
 from collatz_lab import beta_chain, blocks, cli, polyline, residues
 from collatz_lab.core import DEFAULT_STEP_LIMIT, glide
-from collatz_lab.errors import IdentityViolation, SweepWorkerError
+from collatz_lab.errors import DomainError, IdentityViolation, SweepWorkerError
 from collatz_lab.report import export_report
 from collatz_lab.sweeps import (
     SIEVE_MODULUS,
@@ -345,6 +345,16 @@ def test_import_loads_no_pool_machinery():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [partial(verify_blocks, 5, step_limit=-3), partial(verify_convergence, 20, step_limit=0)],
+    ids=["blocks", "convergence"],
+)
+def test_step_limit_below_one_is_a_domain_error(sweep):
+    with pytest.raises(DomainError, match="step_limit must be >= 1"):
+        sweep(workers=1)
 
 
 def test_blocks_report_records_limit_and_premise():
