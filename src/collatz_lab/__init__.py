@@ -7,146 +7,94 @@ decomposition (``blocks``), cycle search (``cycles``), vertex-count
 coordinates (``polyline``), parallel sweeps (``sweeps``) and their reports
 (``report``).  Everything symbolic is checked against brute-force iteration;
 sweeps return reports rather than raising on counterexamples.
+
+The exported names load lazily (PEP 562): ``import collatz_lab`` imports
+no submodule, and the first use of a name imports the submodule that
+defines it.  So a program, or a ``collatz-lab`` command, pays only for the
+modules it uses.
 """
 
-from .beta_chain import (
-    BetaChainSolution,
-    solve_beta_chain,
-    solve_beta_chain_paper,
-    v2,
-    verify_beta_chain,
-)
-from .blocks import (
-    Block,
-    BlockSequence,
-    closed_form_k,
-    decompose,
-    decompose_until_trivial,
-    make_block,
-    verify_recurrence,
-)
-from .core import (
-    DEFAULT_STEP_LIMIT,
-    BackwardTree,
-    RecordTable,
-    Trajectory,
-    backward_tree,
-    delay,
-    delay_sieve,
-    glide,
-    preimages_c,
-    records_sweep,
-    step_c,
-    step_t,
-    trajectory,
-)
-from .cycles import (
-    CycleCandidate,
-    CycleSolution,
-    cycle_equation_general,
-    cycle_k_n1,
-    search_cycles,
-    search_cycles_n1,
-)
-from .errors import (
-    CollatzLabError,
-    DomainError,
-    IdentityViolation,
-    InvalidPolyline,
-    LimitExceeded,
-    PatternMismatch,
-    SweepWorkerError,
-)
-from .polyline import (
-    Polyline,
-    class_from_polyline,
-    cycle_residual,
-    from_polyline,
-    shape_residual,
-    step_T_polyline,
-    to_polyline,
-)
-from .report import Counterexample, VerificationReport, export_report
-from .residues import (
-    ClassifiedInt,
-    ResidueClass,
-    class_sequence,
-    classify,
-    declassify,
-    transition_graph,
-    transition_symbolic,
-)
-from .sweeps import (
-    resolve_workers,
-    verify_beta_chains,
-    verify_blocks,
-    verify_convergence,
-    verify_polylines,
-    verify_transitions,
-)
+import importlib
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "DEFAULT_STEP_LIMIT",
-    "BackwardTree",
-    "BetaChainSolution",
-    "Block",
-    "BlockSequence",
-    "ClassifiedInt",
-    "CollatzLabError",
-    "Counterexample",
-    "CycleCandidate",
-    "CycleSolution",
-    "DomainError",
-    "IdentityViolation",
-    "InvalidPolyline",
-    "LimitExceeded",
-    "PatternMismatch",
-    "Polyline",
-    "RecordTable",
-    "ResidueClass",
-    "SweepWorkerError",
-    "Trajectory",
-    "VerificationReport",
-    "backward_tree",
-    "class_from_polyline",
-    "class_sequence",
-    "classify",
-    "closed_form_k",
-    "cycle_equation_general",
-    "cycle_k_n1",
-    "cycle_residual",
-    "declassify",
-    "decompose",
-    "decompose_until_trivial",
-    "delay",
-    "delay_sieve",
-    "export_report",
-    "from_polyline",
-    "glide",
-    "make_block",
-    "preimages_c",
-    "records_sweep",
-    "resolve_workers",
-    "search_cycles",
-    "search_cycles_n1",
-    "shape_residual",
-    "solve_beta_chain",
-    "solve_beta_chain_paper",
-    "step_T_polyline",
-    "step_c",
-    "step_t",
-    "to_polyline",
-    "trajectory",
-    "transition_graph",
-    "transition_symbolic",
-    "v2",
-    "verify_beta_chain",
-    "verify_beta_chains",
-    "verify_blocks",
-    "verify_convergence",
-    "verify_polylines",
-    "verify_recurrence",
-    "verify_transitions",
-]
+# Each exported name and the submodule that defines it.
+_SOURCES = {
+    "DEFAULT_STEP_LIMIT": "core",
+    "BackwardTree": "core",
+    "BetaChainSolution": "beta_chain",
+    "Block": "blocks",
+    "BlockSequence": "blocks",
+    "ClassifiedInt": "residues",
+    "CollatzLabError": "errors",
+    "Counterexample": "report",
+    "CycleCandidate": "cycles",
+    "CycleSolution": "cycles",
+    "DomainError": "errors",
+    "IdentityViolation": "errors",
+    "InvalidPolyline": "errors",
+    "LimitExceeded": "errors",
+    "PatternMismatch": "errors",
+    "Polyline": "polyline",
+    "RecordTable": "core",
+    "ResidueClass": "residues",
+    "SweepWorkerError": "errors",
+    "Trajectory": "core",
+    "VerificationReport": "report",
+    "backward_tree": "core",
+    "class_from_polyline": "polyline",
+    "class_sequence": "residues",
+    "classify": "residues",
+    "closed_form_k": "blocks",
+    "cycle_equation_general": "cycles",
+    "cycle_k_n1": "cycles",
+    "cycle_residual": "polyline",
+    "declassify": "residues",
+    "decompose": "blocks",
+    "decompose_until_trivial": "blocks",
+    "delay": "core",
+    "delay_sieve": "core",
+    "export_report": "report",
+    "from_polyline": "polyline",
+    "glide": "core",
+    "make_block": "blocks",
+    "preimages_c": "core",
+    "records_sweep": "core",
+    "resolve_workers": "sweeps",
+    "search_cycles": "cycles",
+    "search_cycles_n1": "cycles",
+    "shape_residual": "polyline",
+    "solve_beta_chain": "beta_chain",
+    "solve_beta_chain_paper": "beta_chain",
+    "step_T_polyline": "polyline",
+    "step_c": "core",
+    "step_t": "core",
+    "to_polyline": "polyline",
+    "trajectory": "core",
+    "transition_graph": "residues",
+    "transition_symbolic": "residues",
+    "v2": "beta_chain",
+    "verify_beta_chain": "beta_chain",
+    "verify_beta_chains": "sweeps",
+    "verify_blocks": "sweeps",
+    "verify_convergence": "sweeps",
+    "verify_polylines": "sweeps",
+    "verify_recurrence": "blocks",
+    "verify_transitions": "sweeps",
+}
+
+__all__ = list(_SOURCES)
+
+
+def __getattr__(name: str):
+    try:
+        module = _SOURCES[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value  # later lookups skip this function
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -9,6 +9,10 @@ preimage tree.
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a verification found
 a counterexample.  Reports go to standard output (or ``--out``) in the
 format chosen by ``--format``; anything diagnostic goes to standard error.
+
+Start-up is most of a short command's time, so this module imports at its
+top only the modules the parser needs (``core``, ``report``, ``sweeps``);
+a command that runs another module imports it itself.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ import argparse
 import sys
 import time
 from collections import Counter as _Tally
-from typing import Callable, Iterable
+from typing import TYPE_CHECKING, Callable, Iterable
 
 from .core import DEFAULT_STEP_LIMIT, backward_tree, records_sweep, trajectory
-from .cycles import CycleSolution, count_candidates, search_cycles
 from .errors import CollatzLabError
-from .polyline import class_from_polyline, to_polyline
 from .report import FORMATS, Counterexample, VerificationReport, export_report
-from .residues import classify
 from .sweeps import SWEEPS, _verify
+
+if TYPE_CHECKING:
+    from .cycles import CycleSolution
 
 __all__ = ["build_parser", "run", "main"]
 
@@ -135,6 +139,8 @@ def _emit(args, make: Callable[[], tuple[VerificationReport, Iterable[str]]]) ->
 
 
 def _cmd_classify(args) -> int:
+    from .residues import classify
+
     c = classify(args.z)
     print(f"{args.z} = {c.tag.symbol} (k={c.k})")
     return 0
@@ -148,6 +154,8 @@ def _cmd_trajectory(args) -> int:
 
 
 def _cmd_polyline(args) -> int:
+    from .polyline import class_from_polyline, to_polyline
+
     p = to_polyline(args.z)
     print(f"{args.z} = (x={p.x}, s={p.s}) {class_from_polyline(p).symbol}")
     return 0
@@ -168,6 +176,8 @@ def _cycle_line(s: CycleSolution) -> str:
 
 
 def _cmd_cycles_search(args) -> int:
+    from .cycles import count_candidates, search_cycles
+
     def make():
         solutions = search_cycles(args.n_max, args.budget)
         lines = [_cycle_line(s) for s in solutions]

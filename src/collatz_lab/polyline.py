@@ -26,12 +26,14 @@ nothing here enforces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import step_t
 from .errors import DomainError, IdentityViolation, InvalidPolyline, PatternMismatch
 from .residues import ResidueClass, classify
+
+if TYPE_CHECKING:  # only shape_residual computes with fractions
+    from fractions import Fraction
 
 __all__ = [
     "Polyline",
@@ -189,6 +191,8 @@ def shape_residual(
     are evaluated as printed and reported individually; several are known
     to fail on honest inputs, and callers get the verdicts either way.
     """
+    from fractions import Fraction
+
     if pattern not in _BOUNDARY_CLASSES:
         raise DomainError(f"unknown pattern {pattern!r}; expected one of {SHAPE_PATTERNS}")
     min_len = 2 if pattern == "pure_ab" else 3

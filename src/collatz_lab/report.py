@@ -3,14 +3,11 @@
 Reports are the one currency every sweep returns: how much was checked and
 which inputs, if any, broke the claim under test.  Serialization writes all
 numbers as decimal strings so arbitrary-precision values survive any JSON or
-CSV reader.
+CSV reader.  Each format imports its serializer only when it is asked for.
 """
 
 from __future__ import annotations
 
-import csv
-import io
-import json
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -43,6 +40,8 @@ class VerificationReport:
 def export_report(report: VerificationReport, fmt: str) -> bytes:
     """Serialize a report; same report in, byte-identical output out."""
     if fmt == "json":
+        import json
+
         payload = {
             "command": report.command,
             "checked": str(report.checked),
@@ -55,6 +54,9 @@ def export_report(report: VerificationReport, fmt: str) -> bytes:
         }
         return (json.dumps(payload, indent=2) + "\n").encode()
     if fmt == "csv":
+        import csv
+        import io
+
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(["input", "expected", "actual"])

@@ -24,6 +24,12 @@ and reaped before ``run_sweep`` returns or raises, and no partial report is
 made.  Fork copies only the calling thread, so do not run a parallel sweep
 from a process that runs other threads (Python 3.12 and later warn).
 
+The ``verify`` sweeps are the rows of ``SWEEPS``.  A row names its check
+kernel as ``"module.function"``, looked up once per sweep call, so a sweep
+imports only its own kernel's module (``verify transitions`` loads neither
+``blocks`` nor ``fractions``), and ``pickle`` and ``signal`` are imported
+only when workers are forked.
+
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
 with a sieve of residue classes mod 2^12; see ``verify_convergence``.
@@ -34,20 +40,15 @@ variable when set, else from the number of CPUs this process may run on.
 
 from __future__ import annotations
 
+import importlib
 import os
-import pickle
-import signal
 import time
 from functools import cache, partial
 from typing import Callable, Iterable, NamedTuple, NoReturn
 
-from .beta_chain import chain_counterexample
-from .blocks import block_counterexample
 from .core import DEFAULT_STEP_LIMIT
 from .errors import DomainError, SweepWorkerError
-from .polyline import polyline_counterexample
 from .report import Counterexample, VerificationReport
-from .residues import transition_counterexample
 
 __all__ = [
     "WORKERS_ENV",
@@ -124,6 +125,7 @@ def _span_names(share: list[Span]) -> str:
 def _portable_error(exc: BaseException, share: list[Span]) -> tuple[BaseException, str]:
     """``exc`` and its traceback, or a SweepWorkerError with its repr when
     ``exc`` does not survive a pickle round trip."""
+    import pickle
     import traceback  # only a failing child needs it
 
     trace = "".join(traceback.format_exception(type(exc), exc, exc.__traceback__))
@@ -146,6 +148,8 @@ def _child(
     """Scan ``share`` in a forked child, send its rows per span (or the
     error that stopped it) down ``fd`` and leave without running any exit
     handler.  Never returns into the caller's stack."""
+    import pickle
+
     status = 1
     try:
         for other in inherited:
@@ -164,6 +168,9 @@ def _child(
 
 def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Row]]:
     """A reaped child's rows per span, or the error it ended with."""
+    import pickle
+    import signal
+
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
         raise SweepWorkerError(
@@ -194,6 +201,8 @@ def _fork_scan(check: CheckFn, inputs: InputsFn, spans: list[Span], w: int) -> l
     ... and each of w - 1 forked children scans its own share; the rows
     come back in span order.  Every child is reaped before this returns or
     raises."""
+    import signal
+
     shares = [spans[i::w] for i in range(w)]
     children: list[tuple[int, int, list[Span]]] = []  # (pid, read end, share)
     unreaped: set[int] = set()
@@ -331,14 +340,19 @@ def _sieve(step_limit: int) -> InputsFn:
 
 
 class Sweep(NamedTuple):
-    """One verification sweep.  ``check`` runs on each input from ``start``
-    to the top of the range; ``start`` is also the least top allowed, and
-    ``top_name`` names the top in the error for one below it.  When
-    ``takes_limit``, ``check`` takes a ``step_limit`` keyword, the limit is
-    recorded in the report, and ``sieve(step_limit)``, if given, picks the
-    inputs that need a check.  ``config`` goes into the report as it is."""
+    """One verification sweep.  ``check`` names its kernel as
+    ``"module.function"`` within this package; the kernel runs on each input
+    from ``start`` to the top of the range.  The name is looked up once per
+    sweep call, so only the sweep that runs imports its kernel's module, and
+    a kernel monkeypatched on its module (say
+    ``collatz_lab.residues.transition_counterexample``) is the one that runs.
+    ``start`` is also the least top allowed, and ``top_name`` names the top
+    in the error for one below it.  When ``takes_limit``, the kernel takes a
+    ``step_limit`` keyword, the limit is recorded in the report, and
+    ``sieve(step_limit)``, if given, picks the inputs that need a check.
+    ``config`` goes into the report as it is."""
 
-    check: Callable[..., tuple[object, object] | None]
+    check: str
     start: int
     top_name: str
     takes_limit: bool = False
@@ -349,17 +363,17 @@ class Sweep(NamedTuple):
 # The sweeps of ``verify``, by the name the command line uses; each report's
 # command is "verify <name>".
 SWEEPS: dict[str, Sweep] = {
-    "transitions": Sweep(transition_counterexample, 1, "z_max"),
-    "beta-chain": Sweep(chain_counterexample, 0, "k_max"),
+    "transitions": Sweep("residues.transition_counterexample", 1, "z_max"),
+    "beta-chain": Sweep("beta_chain.chain_counterexample", 0, "k_max"),
     "blocks": Sweep(
-        block_counterexample,
+        "blocks.block_counterexample",
         0,
         "k_max",
         takes_limit=True,
         config={"premise": "each walk stops below its start; every smaller k0 is in this sweep"},
     ),
-    "polyline": Sweep(polyline_counterexample, 1, "z_max"),
-    "convergence": Sweep(_drop_check, 2, "n_max", takes_limit=True, sieve=_sieve),
+    "polyline": Sweep("polyline.polyline_counterexample", 1, "z_max"),
+    "convergence": Sweep("sweeps._drop_check", 2, "n_max", takes_limit=True, sieve=_sieve),
 }
 
 
@@ -371,7 +385,9 @@ def _verify(
     sweep = SWEEPS[name]
     if top < sweep.start:
         raise DomainError(f"{sweep.top_name} must be >= {sweep.start}, got {top}")
-    check, inputs, config = sweep.check, range, {"max": str(top), **sweep.config}
+    module, _, function = sweep.check.rpartition(".")
+    check = getattr(importlib.import_module(f"{__package__}.{module}"), function)
+    inputs, config = range, {"max": str(top), **sweep.config}
     if sweep.takes_limit:
         if step_limit < 1:
             raise DomainError(f"step_limit must be >= 1, got {step_limit}")

@@ -337,7 +337,7 @@ def test_a_parallel_sweep_warns_nothing():
 
 def test_import_loads_no_pool_machinery():
     code = (
-        "import collatz_lab, sys; "
+        "import collatz_lab.sweeps, collatz_lab.cli, sys; "
         "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])"
     )
     src = str(Path(collatz_lab.__file__).resolve().parent.parent)
@@ -345,6 +345,20 @@ def test_import_loads_no_pool_machinery():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_patched_kernel_reaches_verify(workers, monkeypatch, capsys):
+    # The registry names each kernel, looked up on its module per call.
+    def planted(z):
+        return ("planted", "fault") if z == 27 else None
+
+    monkeypatch.setattr("collatz_lab.residues.transition_counterexample", planted)
+    report = verify_transitions(300, workers=workers)
+    assert [tuple(c) for c in report.counterexamples] == [("27", "planted", "fault")]
+    argv = ["verify", "transitions", "--max", "300", "--workers", str(workers)]
+    assert cli.run(argv) == 2
+    assert "  27: expected planted, got fault\n" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(
