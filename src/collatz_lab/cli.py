@@ -6,9 +6,17 @@ sweeps; ``cycles search`` for exhaustive cycle-candidate enumeration;
 ``records {delay|glide}`` for record tables; ``tree`` for the backward
 preimage tree.
 
+Each command is a ``_cmd_*`` function that takes the parsed arguments and
+returns ``(report, listing)``: a ``VerificationReport``, or None for a
+command that only lists lines, and the lines to list.  ``run`` is the one
+place that parses, times the command, stamps the report's ``elapsed_ms``
+and writes.  Without a report it writes the listing to standard output.
+With one it writes the report in the format chosen by ``--format`` to
+standard output (or ``--out``), after the listing in text format.  Anything
+diagnostic goes to standard error.
+
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a verification found
-a counterexample.  Reports go to standard output (or ``--out``) in the
-format chosen by ``--format``; anything diagnostic goes to standard error.
+a counterexample.
 
 Start-up is most of a short command's time, so this module imports at its
 top only the modules the parser needs (``core``, ``report``, ``sweeps``);
@@ -21,7 +29,7 @@ import argparse
 import sys
 import time
 from collections import Counter as _Tally
-from typing import TYPE_CHECKING, Callable, Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .core import DEFAULT_STEP_LIMIT, backward_tree, records_sweep, trajectory
 from .errors import CollatzLabError
@@ -32,6 +40,9 @@ if TYPE_CHECKING:
     from .cycles import CycleSolution
 
 __all__ = ["build_parser", "run", "main"]
+
+# What a command returns; see the module docstring.
+Outcome = tuple[VerificationReport | None, Iterable[str]]
 
 
 class UsageError(Exception):
@@ -119,53 +130,30 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(args, make: Callable[[], tuple[VerificationReport, Iterable[str]]]) -> int:
-    """Time ``make``, which does a command's work and returns its report
-    and the lines listed above the report in text format.  Stamp the report
-    with that time, write it to ``--out`` or standard output in
-    ``--format``, and return 0 on PASS, 2 on FAIL."""
-    start = time.perf_counter()
-    report, listing = make()
-    report.elapsed_ms = int((time.perf_counter() - start) * 1000)
-    data = export_report(report, args.format)
-    if args.format == "text":
-        data = "".join(f"{line}\n" for line in listing).encode() + data
-    if args.out is None:
-        sys.stdout.write(data.decode())
-    else:
-        with open(args.out, "wb") as fh:
-            fh.write(data)
-    return 0 if report.passed else 2
-
-
-def _cmd_classify(args) -> int:
+def _cmd_classify(args) -> Outcome:
     from .residues import classify
 
     c = classify(args.z)
-    print(f"{args.z} = {c.tag.symbol} (k={c.k})")
-    return 0
+    return None, [f"{args.z} = {c.tag.symbol} (k={c.k})"]
 
 
-def _cmd_trajectory(args) -> int:
+def _cmd_trajectory(args) -> Outcome:
     t = trajectory(args.start, step_limit=args.limit)
-    print(" -> ".join(str(v) for v in t.values))
-    print(f"steps: {t.steps}")
-    return 0
+    return None, [" -> ".join(str(v) for v in t.values), f"steps: {t.steps}"]
 
 
-def _cmd_polyline(args) -> int:
+def _cmd_polyline(args) -> Outcome:
     from .polyline import class_from_polyline, to_polyline
 
     p = to_polyline(args.z)
-    print(f"{args.z} = (x={p.x}, s={p.s}) {class_from_polyline(p).symbol}")
-    return 0
+    return None, [f"{args.z} = (x={p.x}, s={p.s}) {class_from_polyline(p).symbol}"]
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Outcome:
     if args.limit is not None and not SWEEPS[args.what].takes_limit:
         raise UsageError(f"--limit does not apply to verify {args.what}")
     limit = args.limit or DEFAULT_STEP_LIMIT
-    return _emit(args, lambda: (_verify(args.what, args.max_value, args.workers, limit), ()))
+    return _verify(args.what, args.max_value, args.workers, limit), ()
 
 
 def _cycle_line(s: CycleSolution) -> str:
@@ -175,91 +163,86 @@ def _cycle_line(s: CycleSolution) -> str:
     return f"m=[{m}] e=[{e}] k0={s.k0} {ok}"
 
 
-def _cmd_cycles_search(args) -> int:
+def _cmd_cycles_search(args) -> Outcome:
     from .cycles import count_candidates, search_cycles
 
-    def make():
-        solutions = search_cycles(args.n_max, args.budget)
-        lines = [_cycle_line(s) for s in solutions]
-        # Anything beyond the trivial fixed point k0 = 0, or anything the
-        # real map refuses to follow, would contradict the only-trivial-cycle
-        # claim.
-        bad = [
-            Counterexample(
-                _cycle_line(s), "trivial cycle (k0=0, simulation valid)", f"k0={s.k0}"
-            )
-            for s in solutions
-            if s.k0 != 0 or not s.simulated_ok
-        ]
-        report = VerificationReport(
-            command="cycles search",
-            checked=count_candidates(args.n_max, args.budget),
-            counterexamples=bad,
-            elapsed_ms=0,
-            config={
-                "n_max": str(args.n_max),
-                "budget": str(args.budget),
-                "solutions": "; ".join(lines) if lines else "none",
-            },
-        )
-        return report, [f"cycle: {line}" for line in lines]
-
-    return _emit(args, make)
+    solutions = search_cycles(args.n_max, args.budget)
+    lines = [_cycle_line(s) for s in solutions]
+    # Anything beyond the trivial fixed point k0 = 0, or anything the real
+    # map refuses to follow, would contradict the only-trivial-cycle claim.
+    bad = [
+        Counterexample(_cycle_line(s), "trivial cycle (k0=0, simulation valid)", f"k0={s.k0}")
+        for s in solutions
+        if s.k0 != 0 or not s.simulated_ok
+    ]
+    report = VerificationReport(
+        command="cycles search",
+        checked=count_candidates(args.n_max, args.budget),
+        counterexamples=bad,
+        config={
+            "n_max": str(args.n_max),
+            "budget": str(args.budget),
+            "solutions": "; ".join(lines) if lines else "none",
+        },
+    )
+    return report, [f"cycle: {line}" for line in lines]
 
 
-def _cmd_records(args) -> int:
-    def make():
-        table = records_sweep(args.max_value, args.kind, args.limit)
-        report = VerificationReport(
-            command=f"records {args.kind}",
-            checked=args.max_value - 1,
-            counterexamples=[],
-            elapsed_ms=0,
-            config={
-                "max": str(args.max_value),
-                "limit": str(args.limit),
-                "entries": " ".join(f"{n}:{v}" for n, v in table.entries),
-            },
-        )
-        return report, [f"{n} {v}" for n, v in table.entries]
-
-    return _emit(args, make)
+def _cmd_records(args) -> Outcome:
+    table = records_sweep(args.max_value, args.kind, args.limit)
+    report = VerificationReport(
+        command=f"records {args.kind}",
+        checked=args.max_value - 1,
+        config={
+            "max": str(args.max_value),
+            "limit": str(args.limit),
+            "entries": " ".join(f"{n}:{v}" for n, v in table.entries),
+        },
+    )
+    return report, [f"{n} {v}" for n, v in table.entries]
 
 
-def _cmd_tree(args) -> int:
-    def make():
-        tree = backward_tree(args.depth)
-        per_level = _Tally(node.depth for node in tree.nodes.values())
-        report = VerificationReport(
-            command="tree",
-            checked=len(tree.nodes),
-            counterexamples=[],
-            elapsed_ms=0,
-            config={
-                "depth": str(args.depth),
-                "nodes": str(len(tree.nodes)),
-                "max_value": str(max(tree.nodes)),
-            },
-        )
-        return report, [f"level {d}: {per_level.get(d, 0)}" for d in range(args.depth + 1)]
-
-    return _emit(args, make)
+def _cmd_tree(args) -> Outcome:
+    tree = backward_tree(args.depth)
+    per_level = _Tally(node.depth for node in tree.nodes.values())
+    report = VerificationReport(
+        command="tree",
+        checked=len(tree.nodes),
+        config={
+            "depth": str(args.depth),
+            "nodes": str(len(tree.nodes)),
+            "max_value": str(max(tree.nodes)),
+        },
+    )
+    return report, [f"level {d}: {per_level.get(d, 0)}" for d in range(args.depth + 1)]
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    """Parse ``argv``, run its command, time it and write what it returns;
+    the exit code is that of the module docstring."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        start = time.perf_counter()
+        report, listing = args.func(args)
+        text = "".join(f"{line}\n" for line in listing)
+        if report is None:
+            sys.stdout.write(text)
+            return 0
+        report.elapsed_ms = int((time.perf_counter() - start) * 1000)
+        data = export_report(report, args.format)
+        if args.format == "text":
+            data = text.encode() + data
+        if args.out is None:
+            sys.stdout.write(data.decode())
+        else:
+            with open(args.out, "wb") as fh:
+                fh.write(data)
+        return 0 if report.passed else 2
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
-    try:
-        return args.func(args)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except CollatzLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

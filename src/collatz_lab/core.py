@@ -221,18 +221,14 @@ def records_sweep(
         raise DomainError(f"kind must be 'delay' or 'glide', got {kind!r}")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
-    entries: list[tuple[int, int]] = []
-    best = -1
     if kind == "delay":
-        table = delay_sieve(n_max, step_limit)
-        for n in range(2, n_max + 1):
-            if table[n] > best:
-                best = table[n]
-                entries.append((n, best))
+        values = enumerate(delay_sieve(n_max, step_limit))
     else:
-        for n in range(2, n_max + 1):
-            g = glide(n, step_limit)
-            if g > best:
-                best = g
-                entries.append((n, best))
+        values = ((n, glide(n, step_limit)) for n in range(2, n_max + 1))
+    entries: list[tuple[int, int]] = []
+    best = 0  # every n >= 2 has delay and glide >= 1; the table's 0 and 1 hold 0
+    for n, v in values:
+        if v > best:
+            best = v
+            entries.append((n, v))
     return RecordTable(kind=kind, entries=entries)

@@ -130,11 +130,9 @@ def cycle_residual(seq: Sequence[Polyline]) -> int:
     """sum x_j + sum (s_j + x_j)(s_j - x_j); zero on every genuine T-cycle."""
     if not seq:
         raise DomainError("empty sequence")
-    total = 0
     for p in seq:
         _check_valid(p)
-        total += p.x + (p.s + p.x) * (p.s - p.x)
-    return total
+    return _tail_sum(seq, range(len(seq)))
 
 
 class BoundaryCheck(NamedTuple):

@@ -28,8 +28,8 @@ class Counterexample(NamedTuple):
 class VerificationReport:
     command: str
     checked: int
-    counterexamples: list[Counterexample]
-    elapsed_ms: int
+    counterexamples: list[Counterexample] = field(default_factory=list)
+    elapsed_ms: int = 0
     config: dict[str, str] = field(default_factory=dict)
 
     @property

@@ -11,8 +11,9 @@ Each child pickles only its rows into its own pipe and leaves by
 flushed twice.  The parent merges the rows in span order, so the
 counterexample list is sorted by input and the report is byte-identical for
 any worker count: the worker count is a throughput knob, never a semantics
-knob.  ``workers=1``, a range of at most one input and a platform without
-``os.fork`` scan inline in the calling process.
+knob.  On one worker (``workers=1``, a range of at most one input, or a
+platform without ``os.fork``) the calling process scans every span itself
+and forks nothing.
 
 A child that exits non-zero, dies by a signal or sends a short payload makes
 ``run_sweep`` raise ``SweepWorkerError`` naming the child's spans and its
@@ -27,8 +28,8 @@ from a process that runs other threads (Python 3.12 and later warn).
 The ``verify`` sweeps are the rows of ``SWEEPS``.  A row names its check
 kernel as ``"module.function"``, looked up once per sweep call, so a sweep
 imports only its own kernel's module (``verify transitions`` loads neither
-``blocks`` nor ``fractions``), and ``pickle`` and ``signal`` are imported
-only when workers are forked.
+``blocks`` nor ``fractions``), ``pickle`` is imported only when workers are
+forked and ``signal`` only when a child is killed or its signal is named.
 
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
@@ -169,10 +170,11 @@ def _child(
 def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Row]]:
     """A reaped child's rows per span, or the error it ended with."""
     import pickle
-    import signal
 
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
+        import signal
+
         raise SweepWorkerError(
             f"the worker for spans {_span_names(share)} was killed by signal "
             f"{-code} ({signal.Signals(-code).name})"
@@ -199,10 +201,8 @@ def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Row]]:
 def _fork_scan(check: CheckFn, inputs: InputsFn, spans: list[Span], w: int) -> list[Row]:
     """Scan ``spans`` on ``w`` workers: this process scans spans 0, w, 2w,
     ... and each of w - 1 forked children scans its own share; the rows
-    come back in span order.  Every child is reaped before this returns or
-    raises."""
-    import signal
-
+    come back in span order.  One worker forks nothing.  Every child is
+    reaped before this returns or raises."""
     shares = [spans[i::w] for i in range(w)]
     children: list[tuple[int, int, list[Span]]] = []  # (pid, read end, share)
     unreaped: set[int] = set()
@@ -232,6 +232,8 @@ def _fork_scan(check: CheckFn, inputs: InputsFn, spans: list[Span], w: int) -> l
         for pid, r, _ in children:
             os.close(r)
             if pid in unreaped:
+                import signal  # only a child still running needs it
+
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
     return [row for k in range(len(spans)) for row in parts[k % w][k // w]]
@@ -251,10 +253,11 @@ def run_sweep(
 
     ``inputs(a, b)`` yields, in increasing order, the inputs of each span
     [a, b) that need a check; the caller vouches for the others.  The
-    report counts all of [lo, hi) as checked.  On more than one worker the
-    range is cut into 4 * workers spans, this process scans every
-    workers-th span from the first and forked children scan the rest; see
-    the module docstring.  ``check`` and ``inputs`` reach the children by
+    report counts all of [lo, hi) as checked.  The range is cut into
+    4 * workers spans, this process scans every workers-th span from the
+    first and forked children scan the rest; see the module docstring.  On
+    one worker, and where ``os.fork`` is missing, this process scans every
+    span and forks nothing.  ``check`` and ``inputs`` reach the children by
     fork, so they may be lambdas or closures; only the rows are pickled.
     Raises ``SweepWorkerError`` when a child crashes, and whatever ``check``
     raised, in this process or a child.
@@ -262,12 +265,11 @@ def run_sweep(
     if hi < lo:
         raise DomainError(f"empty-range sweep: [{lo}, {hi})")
     w = resolve_workers(workers)
+    if not hasattr(os, "fork"):
+        w = 1
     start = time.perf_counter()
-    if w <= 1 or hi - lo <= 1 or not hasattr(os, "fork"):
-        rows = _scan(check, inputs, lo, hi)
-    else:
-        spans = _spans(lo, hi, w * 4)
-        rows = _fork_scan(check, inputs, spans, min(w, len(spans)))
+    spans = _spans(lo, hi, 4 * w)
+    rows = _fork_scan(check, inputs, spans, min(w, len(spans)))
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,

@@ -1,6 +1,7 @@
 import importlib
 import json
 import pkgutil
+import re
 
 import pytest
 
@@ -235,6 +236,31 @@ def test_tree_output(capsys):
     out = capsys.readouterr().out
     assert "level 5: 2" in out
     assert "checked: 7" in out
+
+
+def _mask_elapsed(text):
+    return re.sub(r"(?m)^elapsed_ms: \d+$", "elapsed_ms:", text)
+
+
+@pytest.mark.parametrize(
+    "argv, code, first_listed",
+    [
+        (("verify", "blocks", "--max", "200", "--limit", "20", "--workers", "1"), 2, []),
+        (("cycles", "search", "--n-max", "2", "--budget", "6"), 0, ["cycle: m=[0] e=[1] k0=0 ok"]),
+        (("records", "delay", "--max", "30"), 0, ["2 1"]),
+        (("tree", "--depth", "5"), 0, ["level 0: 1"]),
+    ],
+    ids=["verify", "cycles-search", "records", "tree"],
+)
+def test_out_file_holds_what_stdout_shows(argv, code, first_listed, tmp_path, capsys):
+    assert run(*argv) == code
+    shown = capsys.readouterr().out
+    listing = shown.partition("command: ")[0]
+    assert listing.splitlines()[:1] == first_listed
+    target = tmp_path / "report.txt"
+    assert run(*argv, "--out", str(target)) == code
+    assert capsys.readouterr().out == ""
+    assert _mask_elapsed(target.read_text()) == _mask_elapsed(shown)
 
 
 # -- report serialization ----------------------------------------------------

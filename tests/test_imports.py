@@ -36,7 +36,7 @@ def test_import_package_loads_no_submodule():
 
 
 # Modules that none of the commands below runs.
-_NEVER = {"collatz_lab.cycles", "collatz_lab.blocks", "fractions", "csv", "pickle"}
+_NEVER = {"collatz_lab.cycles", "collatz_lab.blocks", "fractions", "csv", "pickle", "signal"}
 
 
 @pytest.mark.parametrize(

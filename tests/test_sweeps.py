@@ -190,6 +190,33 @@ def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
     assert [c.input for c in report.counterexamples] == ["5", "6", "7"]
 
 
+def _sevens(z):
+    return (0, z) if z % 7 == 0 else None
+
+
+def test_without_fork_a_sweep_runs_on_one_worker(monkeypatch):
+    one = run_sweep("sevens", _sevens, 1, 1000, workers=1)
+    monkeypatch.delattr(os, "fork")
+    three = run_sweep("sevens", _sevens, 1, 1000, workers=3)
+    assert _json_without_elapsed(three) == _json_without_elapsed(one)
+    # the request is still checked
+    with pytest.raises(DomainError, match="workers must be >= 1"):
+        run_sweep("sevens", _sevens, 1, 1000, workers=0)
+
+
+def _fork_forbidden():
+    raise AssertionError("a one-worker sweep forked")
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [verify_transitions, verify_beta_chains, verify_blocks, verify_polylines, verify_convergence],
+)
+def test_one_worker_forks_nothing(sweep, monkeypatch):
+    monkeypatch.setattr(os, "fork", _fork_forbidden)
+    assert sweep(300, workers=1).passed
+
+
 def _planted(action, at, in_child=True, parent=os.getpid()):
     """A check that runs ``action`` at input ``at`` only in a forked worker,
     so that a planted crash can never end the test process itself (or, with
