@@ -18,6 +18,10 @@ diagnostic goes to standard error.
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a verification found
 a counterexample.
 
+The parser checks only that an integer argument is an integer.  Its range
+is checked once, by the library function the command calls, whose
+``DomainError`` message is what the command prints after ``error:``.
+
 Start-up is most of a short command's time, so this module imports at its
 top only the modules the parser needs (``core``, ``report``, ``sweeps``);
 a command that runs another module imports it itself.
@@ -57,20 +61,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _positive(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {text}")
-    return value
-
-
-def _nonneg(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {text}")
-    return value
-
-
 def _add_output_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="PATH", default=None, help="write output to a file")
     p.add_argument("--format", choices=FORMATS, default="text", help="output format")
@@ -81,49 +71,49 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="mod-4 class of a value")
-    p.add_argument("z", type=_positive)
+    p.add_argument("z", type=int)
     p.set_defaults(func=_cmd_classify)
 
     p = sub.add_parser("trajectory", help="iterate the map to 1")
-    p.add_argument("--start", type=_positive, required=True)
-    p.add_argument("--limit", type=_positive, default=DEFAULT_STEP_LIMIT)
+    p.add_argument("--start", type=int, required=True)
+    p.add_argument("--limit", type=int, default=DEFAULT_STEP_LIMIT)
     p.set_defaults(func=_cmd_trajectory)
 
     p = sub.add_parser("polyline", help="vertex-count coordinates of a value")
-    p.add_argument("z", type=_positive)
+    p.add_argument("z", type=int)
     p.set_defaults(func=_cmd_polyline)
 
     p = sub.add_parser("verify", help="run a verification sweep")
     p.add_argument("what", choices=tuple(SWEEPS))
-    p.add_argument("--max", type=_positive, required=True, dest="max_value")
+    p.add_argument("--max", type=int, required=True, dest="max_value")
     p.add_argument(
         "--limit",
-        type=_positive,
+        type=int,
         default=None,
         help=f"raw-step budget of {' and '.join(n for n, s in SWEEPS.items() if s.takes_limit)}"
         f" (default {DEFAULT_STEP_LIMIT})",
     )
-    p.add_argument("--workers", type=_positive, default=None)
+    p.add_argument("--workers", type=int, default=None)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("cycles", help="cycle-candidate search")
     action = p.add_subparsers(dest="action", required=True)
     s = action.add_parser("search", help="enumerate cycle candidates exhaustively")
-    s.add_argument("--n-max", type=_positive, required=True, dest="n_max")
-    s.add_argument("--budget", type=_positive, required=True)
+    s.add_argument("--n-max", type=int, required=True, dest="n_max")
+    s.add_argument("--budget", type=int, required=True)
     _add_output_flags(s)
     s.set_defaults(func=_cmd_cycles_search)
 
     p = sub.add_parser("records", help="delay/glide record table")
     p.add_argument("kind", choices=("delay", "glide"))
-    p.add_argument("--max", type=_positive, required=True, dest="max_value")
-    p.add_argument("--limit", type=_positive, default=DEFAULT_STEP_LIMIT)
+    p.add_argument("--max", type=int, required=True, dest="max_value")
+    p.add_argument("--limit", type=int, default=DEFAULT_STEP_LIMIT)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_records)
 
     p = sub.add_parser("tree", help="backward preimage tree from 1")
-    p.add_argument("--depth", type=_nonneg, required=True)
+    p.add_argument("--depth", type=int, required=True)
     _add_output_flags(p)
     p.set_defaults(func=_cmd_tree)
 
@@ -152,7 +142,7 @@ def _cmd_polyline(args) -> Outcome:
 def _cmd_verify(args) -> Outcome:
     if args.limit is not None and not SWEEPS[args.what].takes_limit:
         raise UsageError(f"--limit does not apply to verify {args.what}")
-    limit = args.limit or DEFAULT_STEP_LIMIT
+    limit = DEFAULT_STEP_LIMIT if args.limit is None else args.limit
     return _verify(args.what, args.max_value, args.workers, limit), ()
 
 

@@ -144,8 +144,6 @@ class BackwardTree:
     depth: int
     nodes: dict[int, TreeNode]
 
-    root: int = 1
-
     def __contains__(self, value: int) -> bool:
         return value in self.nodes
 
@@ -221,6 +219,8 @@ def records_sweep(
         raise DomainError(f"kind must be 'delay' or 'glide', got {kind!r}")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
+    if step_limit < 1:
+        raise DomainError(f"step_limit must be >= 1, got {step_limit}")
     if kind == "delay":
         values = enumerate(delay_sieve(n_max, step_limit))
     else:

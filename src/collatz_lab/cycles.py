@@ -125,6 +125,13 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     return found
 
 
+def _check_box(n_max: int, exp_budget: int) -> None:
+    if n_max < 1 or exp_budget < n_max:
+        raise DomainError(
+            f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
+        )
+
+
 def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
     """Exhaustive search over all lengths 1..n_max and parameter lists with
     sum(m) + sum(e) <= exp_budget; same filtering as search_cycles_n1.
@@ -134,10 +141,7 @@ def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
     each node extends its parent's state by one block.  Solutions come out
     grouped by length, shortest first, each group in walk order.
     """
-    if n_max < 1 or exp_budget < n_max:
-        raise DomainError(
-            f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
-        )
+    _check_box(n_max, exp_budget)
     by_length: list[list[CycleSolution]] = [[] for _ in range(n_max)]
     path: list[tuple[int, int]] = []
 
@@ -168,8 +172,5 @@ def count_candidates(n_max: int, exp_budget: int) -> int:
     integers summing to at most B - n, of which there are
     C(B - n + 2n, 2n) = C(B + n, 2n); the count is the sum over n.
     """
-    if n_max < 1 or exp_budget < n_max:
-        raise DomainError(
-            f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
-        )
+    _check_box(n_max, exp_budget)
     return sum(comb(exp_budget + n, 2 * n) for n in range(1, n_max + 1))

@@ -35,8 +35,8 @@ A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
 with a sieve of residue classes mod 2^12; see ``verify_convergence``.
 
-The default worker count comes from the COLLATZ_LAB_WORKERS environment
-variable when set, else from the number of CPUs this process may run on.
+The worker count is the one the caller asks for, else the number of CPUs
+this process may run on.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .errors import DomainError, SweepWorkerError
 from .report import Counterexample, VerificationReport
 
 __all__ = [
-    "WORKERS_ENV",
     "resolve_workers",
     "run_sweep",
     "SWEEPS",
@@ -63,11 +62,8 @@ __all__ = [
     "verify_convergence",
 ]
 
-WORKERS_ENV = "COLLATZ_LAB_WORKERS"
-
 CheckFn = Callable[[int], "tuple[object, object] | None"]
 InputsFn = Callable[[int, int], Iterable[int]]
-Row = tuple[int, str, str]  # (input, expected, actual) of a counterexample
 Span = tuple[int, int]  # [lo, hi)
 
 SIEVE_BITS = 12
@@ -75,30 +71,23 @@ SIEVE_MODULUS = 1 << SIEVE_BITS
 
 
 def resolve_workers(requested: int | None = None) -> int:
-    """Explicit request, else $COLLATZ_LAB_WORKERS, else the usable CPUs."""
+    """The explicit request, else the CPUs in this process's affinity mask
+    (a container or ``taskset`` may narrow it), else ``os.cpu_count()``."""
     if requested is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env is not None:
-            try:
-                requested = int(env)
-            except ValueError:
-                raise DomainError(f"{WORKERS_ENV} must be an integer, got {env!r}")
-        elif hasattr(os, "sched_getaffinity"):
-            # the affinity mask: a container or taskset may narrow it
+        if hasattr(os, "sched_getaffinity"):
             return len(os.sched_getaffinity(0))
-        else:
-            return os.cpu_count() or 1
+        return os.cpu_count() or 1
     if requested < 1:
         raise DomainError(f"workers must be >= 1, got {requested}")
     return requested
 
 
-def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[Row]:
+def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[Counterexample]:
     out = []
     for z in inputs(lo, hi):
         r = check(z)
         if r is not None:
-            out.append((z, str(r[0]), str(r[1])))
+            out.append(Counterexample(str(z), str(r[0]), str(r[1])))
     return out
 
 
@@ -167,7 +156,7 @@ def _child(
         os._exit(status)
 
 
-def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Row]]:
+def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Counterexample]]:
     """A reaped child's rows per span, or the error it ended with."""
     import pickle
 
@@ -198,7 +187,9 @@ def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Row]]:
     return parts
 
 
-def _fork_scan(check: CheckFn, inputs: InputsFn, spans: list[Span], w: int) -> list[Row]:
+def _fork_scan(
+    check: CheckFn, inputs: InputsFn, spans: list[Span], w: int
+) -> list[Counterexample]:
     """Scan ``spans`` on ``w`` workers: this process scans spans 0, w, 2w,
     ... and each of w - 1 forked children scans its own share; the rows
     come back in span order.  One worker forks nothing.  Every child is
@@ -274,7 +265,7 @@ def run_sweep(
     return VerificationReport(
         command=command,
         checked=hi - lo,
-        counterexamples=[Counterexample(str(z), e, a) for z, e, a in rows],
+        counterexamples=rows,
         elapsed_ms=elapsed_ms,
         config=config or {},
     )
@@ -334,13 +325,6 @@ def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int
                 yield base + b
 
 
-def _sieve(step_limit: int) -> InputsFn:
-    """The convergence sweep's inputs: the n of each span in classes the
-    sieve leaves open.  Called in the calling process, so that forked
-    workers inherit the table."""
-    return partial(_sieved_inputs, survivors=_sieve_survivors(step_limit))
-
-
 class Sweep(NamedTuple):
     """One verification sweep.  ``check`` names its kernel as
     ``"module.function"`` within this package; the kernel runs on each input
@@ -351,15 +335,15 @@ class Sweep(NamedTuple):
     ``start`` is also the least top allowed, and ``top_name`` names the top
     in the error for one below it.  When ``takes_limit``, the kernel takes a
     ``step_limit`` keyword, the limit is recorded in the report, and
-    ``sieve(step_limit)``, if given, picks the inputs that need a check.
-    ``config`` goes into the report as it is."""
+    ``sieve(step_limit)``, if given, names the classes mod 2^12 whose inputs
+    need a check.  ``config`` goes into the report as it is."""
 
     check: str
     start: int
     top_name: str
     takes_limit: bool = False
     config: dict[str, str] = {}
-    sieve: Callable[[int], InputsFn] | None = None
+    sieve: Callable[[int], tuple[int, ...]] | None = None
 
 
 # The sweeps of ``verify``, by the name the command line uses; each report's
@@ -375,7 +359,9 @@ SWEEPS: dict[str, Sweep] = {
         config={"premise": "each walk stops below its start; every smaller k0 is in this sweep"},
     ),
     "polyline": Sweep("polyline.polyline_counterexample", 1, "z_max"),
-    "convergence": Sweep("sweeps._drop_check", 2, "n_max", takes_limit=True, sieve=_sieve),
+    "convergence": Sweep(
+        "sweeps._drop_check", 2, "n_max", takes_limit=True, sieve=_sieve_survivors
+    ),
 }
 
 
@@ -396,7 +382,9 @@ def _verify(
         check = partial(check, step_limit=step_limit)
         config["limit"] = str(step_limit)
         if sweep.sieve is not None:
-            inputs = sweep.sieve(step_limit)
+            # The survivor table is built here, in the calling process, so
+            # that forked workers inherit it instead of each building it.
+            inputs = partial(_sieved_inputs, survivors=sweep.sieve(step_limit))
     return run_sweep(
         f"verify {name}",
         check,

@@ -1,5 +1,6 @@
 import importlib
 import json
+import os
 import pkgutil
 import re
 
@@ -64,6 +65,39 @@ def test_trajectory_limit_blown_is_exit_1(capsys):
 def test_usage_errors_exit_1(argv, capsys):
     assert run(*argv) == 1
     assert capsys.readouterr().err != ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("classify", "0"), "classify needs z >= 1, got 0"),
+        (("polyline", "0"), "to_polyline needs z >= 1, got 0"),
+        (("trajectory", "--start", "0"), "trajectory needs z >= 1, got 0"),
+        (("trajectory", "--start", "6", "--limit", "0"), "step_limit must be >= 1, got 0"),
+        (("verify", "transitions", "--max", "0"), "z_max must be >= 1, got 0"),
+        (("verify", "convergence", "--max", "100", "--limit", "0"),
+         "step_limit must be >= 1, got 0"),
+        (("verify", "transitions", "--max", "10", "--workers", "0"), "workers must be >= 1, got 0"),
+        (("cycles", "search", "--n-max", "0", "--budget", "6"),
+         "need n_max >= 1 and exp_budget >= n_max, got (0, 6)"),
+        (("records", "delay", "--max", "100", "--limit", "0"), "step_limit must be >= 1, got 0"),
+        (("tree", "--depth", "-1"), "depth must be >= 0, got -1"),
+    ],
+    ids=["classify", "polyline", "trajectory-start", "trajectory-limit", "verify-max",
+         "verify-limit", "verify-workers", "cycles-n-max", "records-limit", "tree-depth"],
+)
+def test_out_of_range_integer_is_the_library_error(argv, message, capsys):
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("what", ["beta-chain", "blocks"])
+def test_max_zero_is_one_input_where_the_sweep_starts_at_zero(what, capsys):
+    assert run("verify", what, "--max", "0", "--workers", "1") == 0
+    out = capsys.readouterr().out
+    assert "checked: 1\n" in out and "result: PASS" in out
 
 
 def test_help_exits_0(capsys):
@@ -171,23 +205,13 @@ def test_out_to_missing_directory_is_exit_1(tmp_path, capsys):
 
 
 def test_workers_env_var_default(monkeypatch):
+    # the environment sets no worker count: the default is the affinity mask
     monkeypatch.setenv("COLLATZ_LAB_WORKERS", "3")
-    assert resolve_workers() == 3
-    assert resolve_workers(2) == 2  # explicit beats env
-    monkeypatch.setenv("COLLATZ_LAB_WORKERS", "zero")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3, 4}, raising=False)
+    assert resolve_workers() == 5
+    assert resolve_workers(2) == 2
     with pytest.raises(DomainError):
-        resolve_workers()
-    monkeypatch.setenv("COLLATZ_LAB_WORKERS", "0")
-    with pytest.raises(DomainError):
-        resolve_workers()
-    monkeypatch.delenv("COLLATZ_LAB_WORKERS")
-    assert resolve_workers() >= 1
-
-
-def test_env_var_drives_cli(monkeypatch, capsys):
-    monkeypatch.setenv("COLLATZ_LAB_WORKERS", "1")
-    assert run("verify", "beta-chain", "--max", "300") == 0
-    assert "result: PASS" in capsys.readouterr().out
+        resolve_workers(0)
 
 
 def test_worker_count_never_changes_results(tmp_path):

@@ -165,6 +165,12 @@ def test_records_rejects_unknown_kind():
         records_sweep(100, "stopping")
 
 
+@pytest.mark.parametrize("kind", ["delay", "glide"])
+def test_records_rejects_a_step_limit_below_one(kind):
+    with pytest.raises(DomainError, match="step_limit must be >= 1, got 0"):
+        records_sweep(100, kind, 0)
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=2, max_value=4000))
 def test_records_are_strict_maxima(n_max):
