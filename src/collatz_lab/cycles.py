@@ -17,22 +17,31 @@ a single block this collapses to
 
     k' = (3^(m+1) - 2^m - 2^(e+m)) / (2^(e+m+1) - 3^(m+1)).
 
-The searches walk parameter boxes exhaustively, depth first, extending the
-parent's state by one block per node.  A node whose integer division
-S / (P - T) is exact and non-negative is *simulated* against the genuine
-block decomposition; a formal solution that the map itself does not follow
-is returned with simulated_ok=False rather than silently dropped.
+``search_cycles`` walks its parameter box exhaustively, depth first,
+extending the parent's state by one block per node.  A box large enough
+to repay a fork is split by first block across workers on the fork engine
+of ``sweeps``; the solutions are merged in walk order, so the result does
+not depend on the worker count.
+``search_cycles_n1`` tests one e per m: for a single block only
+e = (3**(m+1)).bit_length() - m - 1 can give k' >= 0 (see there).
+
+A node whose integer division S / (P - T) is exact and non-negative is
+*simulated* against the genuine block decomposition; a formal solution that
+the map itself does not follow is returned with simulated_ok=False rather
+than silently dropped.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
 from .blocks import START, State, check_params, decompose
 from .blocks import block_step as _extend  # a module global: one lookup in the search loop
 from .errors import DomainError, IdentityViolation
+from .sweeps import _fork_map, resolve_workers
 
 __all__ = [
     "CycleCandidate",
@@ -112,12 +121,27 @@ def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
 
 def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     """Exhaustive single-block box m in 0..m_max, e in 1..e_max; returns the
-    solutions with integer non-negative fixed point, simulation included."""
+    solutions with integer non-negative fixed point, simulation included.
+
+    Only one e per m can close at k' >= 0.  k' = c / d with
+    c = 3^(m+1) - 2^m - 2^(e+m) and d = 2^(e+m+1) - 3^(m+1), which is never
+    0, so k' >= 0 needs c >= 0 < d or c <= 0 > d:
+
+    - c >= 0 < d gives 2^(e+m) < 2^m + 2^(e+m) <= 3^(m+1) < 2^(e+m+1), so
+      e + m + 1 is the bit length of 3^(m+1);
+    - c <= 0 > d gives 2^(e+m+1) < 3^(m+1) <= 2^m + 2^(e+m) <= 1.5 * 2^(e+m)
+      since e >= 1, which is impossible.
+
+    So each m is tested only at e = (3**(m+1)).bit_length() - m - 1, which
+    is at least 1 since 3^(m+1) > 2^(m+1): m_max + 1 divisions in place of
+    (m_max + 1) * e_max.
+    """
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
     found = []
     for m in range(m_max + 1):
-        for e in range(1, e_max + 1):
+        e = (3 ** (m + 1)).bit_length() - m - 1
+        if e <= e_max:
             p, t, s = _extend(START, m, e)
             q, r = divmod(s, p - t)
             if not r and q >= 0:
@@ -125,14 +149,58 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     return found
 
 
-def _check_box(n_max: int, exp_budget: int) -> None:
-    if n_max < 1 or exp_budget < n_max:
-        raise DomainError(
-            f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
-        )
+Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order
+
+# A fork round trip costs a few ms on a 2-vCPU host and a candidate about
+# 1 us, so the search gives each worker at least this many candidates and
+# walks a smaller box in this process alone.
+_MIN_SHARE = 10_000
 
 
-def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
+def _first_block_names(share: Blocks) -> str:
+    return "first blocks (m, e) " + ", ".join(map(str, share))
+
+
+def _walk(n_max: int, exp_budget: int, firsts: Blocks) -> list[list[list[CycleSolution]]]:
+    """For each first block in ``firsts``, the solutions below it per
+    length, each length in walk order."""
+    path: list[tuple[int, int]] = []
+    # pairs[left]: the blocks that fit in a budget of ``left``, in walk
+    # order, all sharing one tuple per block; only a walk below depth 0
+    # needs them.
+    pairs: list[Blocks] = []
+    if n_max > 1:
+        rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
+        pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
+    by_length: list[list[CycleSolution]]  # of the first block being walked
+
+    def walk(state: State, todo: Blocks, remaining: int, depth: int) -> None:
+        found = by_length[depth]
+        deeper = depth + 1 < n_max
+        for pair in todo:
+            m, e = pair
+            child = _extend(state, m, e)
+            p, t, s = child
+            q, r = divmod(s, p - t)
+            if not r and q >= 0:
+                found.append(_hit(path + [pair], q))
+            left = remaining - m - e
+            if deeper and left:
+                path.append(pair)
+                walk(child, pairs[left], left, depth + 1)
+                path.pop()
+
+    per_first = []
+    for first in firsts:
+        by_length = [[] for _ in range(n_max)]
+        walk(START, [first], exp_budget, 0)
+        per_first.append(by_length)
+    return per_first
+
+
+def search_cycles(
+    n_max: int, exp_budget: int, workers: int | None = None
+) -> list[CycleSolution]:
     """Exhaustive search over all lengths 1..n_max and parameter lists with
     sum(m) + sum(e) <= exp_budget; same filtering as search_cycles_n1.
 
@@ -140,29 +208,27 @@ def search_cycles(n_max: int, exp_budget: int) -> list[CycleSolution]:
     lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...);
     each node extends its parent's state by one block.  Solutions come out
     grouped by length, shortest first, each group in walk order.
+
+    The walk is split by its first block across up to ``workers`` workers
+    (else the CPUs this process may run on) on the fork engine of
+    ``sweeps``: with w workers, worker i walks first blocks i, i + w, ...,
+    this process being worker 0.  Each worker gets at least ``_MIN_SHARE``
+    candidates, so a small box forks nothing.  The solutions are merged in
+    walk order, so the result is the same for any worker count.  Raises
+    ``SweepWorkerError`` when a child crashes.
     """
-    _check_box(n_max, exp_budget)
-    by_length: list[list[CycleSolution]] = [[] for _ in range(n_max)]
-    path: list[tuple[int, int]] = []
-
-    def walk(state: State, remaining: int, depth: int) -> None:
-        found = by_length[depth]
-        deeper = depth + 1 < n_max
-        for m in range(remaining):
-            for e in range(1, remaining - m + 1):
-                child = _extend(state, m, e)
-                p, t, s = child
-                q, r = divmod(s, p - t)
-                if not r and q >= 0:
-                    found.append(_hit(path + [(m, e)], q))
-                left = remaining - m - e
-                if deeper and left:
-                    path.append((m, e))
-                    walk(child, left, depth + 1)
-                    path.pop()
-
-    walk(START, exp_budget, 0)
-    return [sol for group in by_length for sol in group]
+    total = count_candidates(n_max, exp_budget)
+    firsts = [(m, e) for m in range(exp_budget) for e in range(1, exp_budget - m + 1)]
+    w = min(resolve_workers(workers), len(firsts), max(1, total // _MIN_SHARE))
+    parts = _fork_map(
+        partial(_walk, n_max, exp_budget), [firsts[i::w] for i in range(w)], _first_block_names
+    )
+    return [
+        sol
+        for depth in range(n_max)
+        for k in range(len(firsts))
+        for sol in parts[k % w][k // w][depth]
+    ]
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:
@@ -172,5 +238,8 @@ def count_candidates(n_max: int, exp_budget: int) -> int:
     integers summing to at most B - n, of which there are
     C(B - n + 2n, 2n) = C(B + n, 2n); the count is the sum over n.
     """
-    _check_box(n_max, exp_budget)
+    if n_max < 1 or exp_budget < n_max:
+        raise DomainError(
+            f"need n_max >= 1 and exp_budget >= n_max, got ({n_max}, {exp_budget})"
+        )
     return sum(comb(exp_budget + n, 2 * n) for n in range(1, n_max + 1))

@@ -38,6 +38,7 @@ class IdentityViolation(CollatzLabError):
 
 
 class SweepWorkerError(CollatzLabError):
-    """A sweep worker process crashed, died by a signal or sent back a
-    short or unpicklable result.  The message names the worker's spans, so
-    a sweep never ends in a partial report."""
+    """A worker process of a sweep or of the cycle search crashed, died by
+    a signal or sent back a short or unpicklable result.  The message names
+    the worker's share (a sweep's spans, or the search's first blocks), so
+    neither ends in a partial report or result."""

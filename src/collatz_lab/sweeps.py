@@ -1,29 +1,34 @@
-"""Range sweeps: run a per-input check over an integer range, in parallel.
+"""Range sweeps: run a per-input check over an integer range, in parallel;
+and the fork engine that runs them and the cycle search.
+
+The engine, ``_fork_map``, runs one function over a list of shares, one
+worker per share.  The calling process runs share 0.  A child forked with
+``os.fork`` when the call is made runs each other share, so it inherits the
+function, its data and any monkeypatched function as they stand at that
+moment: nothing is pickled on the way in.  Each child pickles its one
+result into its own pipe and leaves by ``os._exit``, so no ``atexit``
+handler runs and no inherited buffer is flushed twice.  Results come back
+in share order.  One share, or a platform without ``os.fork``, forks
+nothing.
+
+A child that exits non-zero, dies by a signal or sends a short payload
+makes the call raise ``SweepWorkerError`` naming the child's share and its
+exit status or signal.  An exception raised in a child is raised again in
+the parent with its own type and message, or as a ``SweepWorkerError``
+carrying its repr when it cannot be pickled.  Whatever ends the call, an
+exception or an interrupt included, every child is killed and reaped before
+it returns or raises, and no partial result is made.  Fork copies only the
+calling thread, so do not run a parallel sweep or search from a process
+that runs other threads (Python 3.12 and later warn).
 
 Each sweep takes a pure check function z -> None | (expected, actual) and
 scans a contiguous range.  With w workers the range is cut into 4*w
-contiguous spans, and worker i scans spans i, i + w, i + 2w, ...  The calling
-process is worker 0.  The other w - 1 are forked with ``os.fork`` when the
-sweep is called, so they inherit the check, ``inputs`` and any monkeypatched
-function as they stand at that moment: nothing is pickled on the way in.
-Each child pickles only its rows into its own pipe and leaves by
-``os._exit``, so no ``atexit`` handler runs and no inherited buffer is
-flushed twice.  The parent merges the rows in span order, so the
-counterexample list is sorted by input and the report is byte-identical for
-any worker count: the worker count is a throughput knob, never a semantics
-knob.  On one worker (``workers=1``, a range of at most one input, or a
-platform without ``os.fork``) the calling process scans every span itself
-and forks nothing.
-
-A child that exits non-zero, dies by a signal or sends a short payload makes
-``run_sweep`` raise ``SweepWorkerError`` naming the child's spans and its
-exit status or signal.  An exception raised by the check in a child is
-raised again in the parent with its own type and message, or as a
-``SweepWorkerError`` carrying its repr when it cannot be pickled.  Whatever
-ends the call, an exception or an interrupt included, every child is killed
-and reaped before ``run_sweep`` returns or raises, and no partial report is
-made.  Fork copies only the calling thread, so do not run a parallel sweep
-from a process that runs other threads (Python 3.12 and later warn).
+contiguous spans, and worker i scans spans i, i + w, i + 2w, ...; the
+errors of a child name its spans.  The rows are merged in span order, so
+the counterexample list is sorted by input and the report is
+byte-identical for any worker count: the worker count is a throughput
+knob, never a semantics knob.  ``cycles.search_cycles`` splits its walk
+the same way, by first block; see there.
 
 The ``verify`` sweeps are the rows of ``SWEEPS``.  A row names its check
 kernel as ``"module.function"``, looked up once per sweep call, so a sweep
@@ -45,7 +50,7 @@ import importlib
 import os
 import time
 from functools import cache, partial
-from typing import Callable, Iterable, NamedTuple, NoReturn
+from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .core import DEFAULT_STEP_LIMIT
 from .errors import DomainError, SweepWorkerError
@@ -65,6 +70,8 @@ __all__ = [
 CheckFn = Callable[[int], "tuple[object, object] | None"]
 InputsFn = Callable[[int, int], Iterable[int]]
 Span = tuple[int, int]  # [lo, hi)
+Share = TypeVar("Share")
+Result = TypeVar("Result")
 
 SIEVE_BITS = 12
 SIEVE_MODULUS = 1 << SIEVE_BITS
@@ -109,10 +116,10 @@ _HEADER = 8
 
 
 def _span_names(share: list[Span]) -> str:
-    return ", ".join(f"[{a}, {b})" for a, b in share)
+    return "spans " + ", ".join(f"[{a}, {b})" for a, b in share)
 
 
-def _portable_error(exc: BaseException, share: list[Span]) -> tuple[BaseException, str]:
+def _portable_error(exc: BaseException, who: str) -> tuple[BaseException, str]:
     """``exc`` and its traceback, or a SweepWorkerError with its repr when
     ``exc`` does not survive a pickle round trip."""
     import pickle
@@ -122,21 +129,19 @@ def _portable_error(exc: BaseException, share: list[Span]) -> tuple[BaseExceptio
     try:
         pickle.loads(pickle.dumps(exc))
     except Exception:
-        exc = SweepWorkerError(
-            f"the worker for spans {_span_names(share)} raised {exc!r}, which cannot be pickled"
-        )
+        exc = SweepWorkerError(f"the worker for {who} raised {exc!r}, which cannot be pickled")
     return exc, trace
 
 
 def _child(
-    check: CheckFn,
-    inputs: InputsFn,
-    share: list[Span],
+    work: Callable[[Share], object],
+    share: Share,
+    who: str,
     fd: int,
     inherited: list[int],
 ) -> NoReturn:
-    """Scan ``share`` in a forked child, send its rows per span (or the
-    error that stopped it) down ``fd`` and leave without running any exit
+    """Run ``work(share)`` in a forked child, send its result (or the error
+    that stopped it) down ``fd`` and leave without running any exit
     handler.  Never returns into the caller's stack."""
     import pickle
 
@@ -145,9 +150,9 @@ def _child(
         for other in inherited:
             os.close(other)
         try:
-            payload = pickle.dumps((None, [_scan(check, inputs, a, b) for a, b in share]))
+            payload = pickle.dumps((None, work(share)))
         except BaseException as exc:  # sent to the parent, which raises it
-            payload = pickle.dumps((_portable_error(exc, share), None))
+            payload = pickle.dumps((_portable_error(exc, who), None))
         with open(fd, "wb") as pipe:
             pipe.write(len(payload).to_bytes(_HEADER, "little"))
             pipe.write(payload)
@@ -156,8 +161,8 @@ def _child(
         os._exit(status)
 
 
-def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Counterexample]]:
-    """A reaped child's rows per span, or the error it ended with."""
+def _unpack(data: bytes, status: int, who: str) -> object:
+    """A reaped child's result, or the error it ended with."""
     import pickle
 
     code = os.waitstatus_to_exitcode(status)
@@ -165,60 +170,62 @@ def _unpack(data: bytes, status: int, share: list[Span]) -> list[list[Counterexa
         import signal
 
         raise SweepWorkerError(
-            f"the worker for spans {_span_names(share)} was killed by signal "
-            f"{-code} ({signal.Signals(-code).name})"
+            f"the worker for {who} was killed by signal {-code} ({signal.Signals(-code).name})"
         )
     if code > 0:
-        raise SweepWorkerError(
-            f"the worker for spans {_span_names(share)} exited with status {code}"
-        )
+        raise SweepWorkerError(f"the worker for {who} exited with status {code}")
     size = int.from_bytes(data[:_HEADER], "little")
     if len(data) != _HEADER + size:
         raise SweepWorkerError(
-            f"the worker for spans {_span_names(share)} exited with status 0 "
+            f"the worker for {who} exited with status 0 "
             f"but sent a short payload ({len(data)} bytes)"
         )
-    error, parts = pickle.loads(data[_HEADER:])
+    error, result = pickle.loads(data[_HEADER:])
     if error is not None:
         exc, trace = error
-        raise exc from SweepWorkerError(
-            f"raised in the worker for spans {_span_names(share)}; its traceback:\n{trace}"
-        )
-    return parts
+        raise exc from SweepWorkerError(f"raised in the worker for {who}; its traceback:\n{trace}")
+    return result
 
 
-def _fork_scan(
-    check: CheckFn, inputs: InputsFn, spans: list[Span], w: int
-) -> list[Counterexample]:
-    """Scan ``spans`` on ``w`` workers: this process scans spans 0, w, 2w,
-    ... and each of w - 1 forked children scans its own share; the rows
-    come back in span order.  One worker forks nothing.  Every child is
-    reaped before this returns or raises."""
-    shares = [spans[i::w] for i in range(w)]
-    children: list[tuple[int, int, list[Span]]] = []  # (pid, read end, share)
+def _fork_map(
+    work: Callable[[Share], Result], shares: Sequence[Share], name: Callable[[Share], str]
+) -> list[Result]:
+    """``[work(share) for share in shares]``, one worker per share: this
+    process runs share 0 and a forked child runs each of the others.  Each
+    child pickles its one result into a pipe of its own; results come back
+    in share order.  ``name(share)`` completes "the worker for ..." in the
+    errors of a failed child.  One share, or a platform without
+    ``os.fork``, forks nothing.  Every child is reaped before this returns
+    or raises."""
+    if not hasattr(os, "fork"):
+        return [work(share) for share in shares]
+    if len(shares) > 1:
+        import pickle  # imported once here, so that no child imports it again
+    children: list[tuple[int, int, str]] = []  # (pid, read end, name)
     unreaped: set[int] = set()
     try:
         for share in shares[1:]:
+            who = name(share)
             r, w_end = os.pipe()
             pid = 0
             try:
                 pid = os.fork()
                 if pid == 0:
-                    _child(check, inputs, share, w_end, [r] + [c[1] for c in children])
+                    _child(work, share, who, w_end, [r] + [c[1] for c in children])
             finally:
                 os.close(w_end)
                 if pid:
-                    children.append((pid, r, share))
+                    children.append((pid, r, who))
                     unreaped.add(pid)
                 else:  # the fork itself failed
                     os.close(r)
-        parts = [[_scan(check, inputs, a, b) for a, b in shares[0]]]
-        for pid, r, share in children:
+        results = [work(shares[0])]
+        for pid, r, who in children:
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             unreaped.discard(pid)
-            parts.append(_unpack(data, status, share))
+            results.append(_unpack(data, status, who))
     finally:
         for pid, r, _ in children:
             os.close(r)
@@ -227,7 +234,7 @@ def _fork_scan(
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return [row for k in range(len(spans)) for row in parts[k % w][k // w]]
+    return results
 
 
 def run_sweep(
@@ -256,11 +263,15 @@ def run_sweep(
     if hi < lo:
         raise DomainError(f"empty-range sweep: [{lo}, {hi})")
     w = resolve_workers(workers)
-    if not hasattr(os, "fork"):
-        w = 1
     start = time.perf_counter()
     spans = _spans(lo, hi, 4 * w)
-    rows = _fork_scan(check, inputs, spans, min(w, len(spans)))
+    w = min(w, len(spans))
+    parts = _fork_map(
+        lambda share: [_scan(check, inputs, a, b) for a, b in share],
+        [spans[i::w] for i in range(w)],
+        _span_names,
+    )
+    rows = [row for k in range(len(spans)) for row in parts[k % w][k // w]]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,

@@ -7,7 +7,7 @@ import re
 import pytest
 
 import collatz_lab
-from collatz_lab import cli
+from collatz_lab import cli, cycles
 from collatz_lab.core import DEFAULT_STEP_LIMIT
 from collatz_lab.errors import DomainError
 from collatz_lab.report import Counterexample, VerificationReport, export_report
@@ -225,6 +225,26 @@ def test_worker_count_never_changes_results(tmp_path):
     b = json.loads(two.read_text())
     a["elapsed_ms"] = b["elapsed_ms"] = "0"
     assert a == b
+
+
+def test_cycles_search_is_the_same_on_one_and_two_cpus(monkeypatch, capsys):
+    # The search takes its worker count from the CPUs it may run on; let it
+    # split even this small box.
+    monkeypatch.setattr(cycles, "_MIN_SHARE", 1)
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or real_fork())
+    exports, listings = [], []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        argv = ["cycles", "search", "--n-max", "3", "--budget", "12"]
+        assert run(*argv, "--format", "json") == 0
+        exports.append(_without_elapsed(capsys.readouterr().out))
+        assert run(*argv) == 0
+        listings.append(_mask_elapsed(capsys.readouterr().out))
+    assert forks == [2, 2]
+    assert exports[0] == exports[1]
+    assert "workers" not in exports[0]["config"]
+    assert listings[0] == listings[1]
 
 
 def test_cycles_search_lists_trivial_cycle(capsys):
