@@ -20,8 +20,8 @@ to
     c = 3^(m+1) - 2^m - 2^(e+m),
 
 so that after n blocks k_n = (T * k_0 + S) / P.  ``recurrence_holds``
-returns whether a real block balances one step, ``closed_form_k`` folds the
-step over a parameter list, and the cycle search (``cycles``) folds it over
+returns whether a real block balances one step, ``block_state`` folds the
+step over a checked parameter list, and the cycle search (``cycles``) over
 whole parameter boxes.  The step also makes sense for *formal* parameter
 lists (m_j, e_j) that need not come from a real trajectory, which is what
 the cycle search exploits.
@@ -45,7 +45,7 @@ __all__ = [
     "decompose",
     "decompose_until_trivial",
     "block_step",
-    "check_params",
+    "block_state",
     "recurrence_holds",
     "verify_recurrence",
     "closed_form_k",
@@ -179,16 +179,20 @@ def block_step(state: State, m: int, e: int) -> State:
     return p << (e + m + 1), t * three, s * three + (three - (1 << m) - (1 << (e + m))) * p
 
 
-def check_params(m_seq: Sequence[int], e_seq: Sequence[int]) -> None:
-    """Raise DomainError unless the lists are equal-length and non-empty,
-    with every m >= 0 and every e >= 1."""
+def block_state(m_seq: Sequence[int], e_seq: Sequence[int]) -> State:
+    """The state (P, T, S) after the blocks (m_j, e_j), folded from
+    ``START``.  Raises DomainError unless the lists are equal-length and
+    non-empty, with every m >= 0 and every e >= 1."""
     if not m_seq or len(m_seq) != len(e_seq):
         raise DomainError(
             f"need equal-length, non-empty parameter lists, got {list(m_seq)} and {list(e_seq)}"
         )
+    state = START
     for m, e in zip(m_seq, e_seq):
         if m < 0 or e < 1:
             raise DomainError(f"need m >= 0 and e >= 1, got (m, e) = ({m}, {e})")
+        state = block_step(state, m, e)
+    return state
 
 
 def recurrence_holds(b: Block) -> bool:
@@ -226,11 +230,7 @@ def closed_form_k(k0, m_seq: Sequence[int], e_seq: Sequence[int]) -> Fraction:
     any real trajectory.  On lists taken from a real decomposition this
     equals the decomposition's final k_out.
     """
-    check_params(m_seq, e_seq)
-    state = START
-    for m, e in zip(m_seq, e_seq):
-        state = block_step(state, m, e)
-    p, t, s = state
+    p, t, s = block_state(m_seq, e_seq)
     return Fraction(t * k0 + s, p)
 
 

@@ -12,15 +12,15 @@ k_n = (T * k_0 + S) / P.  The closure condition k_n = k_0 therefore reads
 
     k0 * (P - T) = S.
 
-The bracket never vanishes because no power of 2 equals a power of 3.  For
-a single block this collapses to
+The bracket never vanishes, as no power of 2 equals a power of 3; every
+closure here raises ``IdentityViolation`` where it would.  For one block:
 
     k' = (3^(m+1) - 2^m - 2^(e+m)) / (2^(e+m+1) - 3^(m+1)).
 
 ``search_cycles`` walks its parameter box exhaustively, depth first,
 extending the parent's state by one block per node.  A box large enough
-to repay a fork is split by first block across workers on the fork engine
-of ``sweeps``; the solutions are merged in walk order, so the result does
+to repay a fork is walked on the fork engine of ``sweeps``, one first
+block per item; the solutions come back in walk order, so the result does
 not depend on the worker count.
 ``search_cycles_n1`` tests one e per m: for a single block only
 e = (3**(m+1)).bit_length() - m - 1 can give k' >= 0 (see there).
@@ -38,7 +38,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import START, State, check_params, decompose
+from .blocks import START, State, block_state, decompose
 from .blocks import block_step as _extend  # a module global: one lookup in the search loop
 from .errors import DomainError, IdentityViolation
 from .sweeps import _fork_map, resolve_workers
@@ -71,10 +71,14 @@ class CycleSolution(NamedTuple):
     simulated_ok: bool
 
 
+def _vanished(p: int) -> IdentityViolation:
+    return IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
+
+
 def _fixed_point(state: State) -> Fraction:
     p, t, s = state
     if p == t:
-        raise IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
+        raise _vanished(p)
     return Fraction(s, p - t)
 
 
@@ -95,8 +99,7 @@ def _hit(pairs: Sequence[tuple[int, int]], k0: int) -> CycleSolution:
 
 def cycle_k_n1(m: int, e: int) -> Fraction:
     """Fixed point of a single formal block with parameters (m, e)."""
-    check_params((m,), (e,))
-    return _fixed_point(_extend(START, m, e))
+    return _fixed_point(block_state((m,), (e,)))
 
 
 def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
@@ -108,11 +111,7 @@ def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
 
         k0 = S / (prod_j 2^(e_j+m_j+1) - prod_j 3^(m_j+1)).
     """
-    check_params(c.m_seq, c.e_seq)
-    state = START
-    for m, e in zip(c.m_seq, c.e_seq):
-        state = _extend(state, m, e)
-    k0 = _fixed_point(state)
+    k0 = _fixed_point(block_state(c.m_seq, c.e_seq))
     is_integer = k0.denominator == 1
     is_nonneg = k0 >= 0
     simulated = is_integer and is_nonneg and _simulate(c, int(k0))
@@ -143,7 +142,10 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
         e = (3 ** (m + 1)).bit_length() - m - 1
         if e <= e_max:
             p, t, s = _extend(START, m, e)
-            q, r = divmod(s, p - t)
+            try:
+                q, r = divmod(s, p - t)
+            except ZeroDivisionError:
+                raise _vanished(p) from None
             if not r and q >= 0:
                 found.append(_hit([(m, e)], q))
     return found
@@ -161,18 +163,13 @@ def _first_block_names(share: Blocks) -> str:
     return "first blocks (m, e) " + ", ".join(map(str, share))
 
 
-def _walk(n_max: int, exp_budget: int, firsts: Blocks) -> list[list[list[CycleSolution]]]:
-    """For each first block in ``firsts``, the solutions below it per
-    length, each length in walk order."""
+def _walk(
+    n_max: int, exp_budget: int, pairs: list[Blocks], first: tuple[int, int]
+) -> list[list[CycleSolution]]:
+    """The solutions below first block ``first``, per length, each length
+    in walk order; ``pairs`` is the table built by ``search_cycles``."""
     path: list[tuple[int, int]] = []
-    # pairs[left]: the blocks that fit in a budget of ``left``, in walk
-    # order, all sharing one tuple per block; only a walk below depth 0
-    # needs them.
-    pairs: list[Blocks] = []
-    if n_max > 1:
-        rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
-        pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
-    by_length: list[list[CycleSolution]]  # of the first block being walked
+    by_length: list[list[CycleSolution]] = [[] for _ in range(n_max)]
 
     def walk(state: State, todo: Blocks, remaining: int, depth: int) -> None:
         found = by_length[depth]
@@ -181,7 +178,10 @@ def _walk(n_max: int, exp_budget: int, firsts: Blocks) -> list[list[list[CycleSo
             m, e = pair
             child = _extend(state, m, e)
             p, t, s = child
-            q, r = divmod(s, p - t)
+            try:
+                q, r = divmod(s, p - t)
+            except ZeroDivisionError:
+                raise _vanished(p) from None
             if not r and q >= 0:
                 found.append(_hit(path + [pair], q))
             left = remaining - m - e
@@ -190,12 +190,8 @@ def _walk(n_max: int, exp_budget: int, firsts: Blocks) -> list[list[list[CycleSo
                 walk(child, pairs[left], left, depth + 1)
                 path.pop()
 
-    per_first = []
-    for first in firsts:
-        by_length = [[] for _ in range(n_max)]
-        walk(START, [first], exp_budget, 0)
-        per_first.append(by_length)
-    return per_first
+    walk(START, [first], exp_budget, 0)
+    return by_length
 
 
 def search_cycles(
@@ -209,26 +205,30 @@ def search_cycles(
     each node extends its parent's state by one block.  Solutions come out
     grouped by length, shortest first, each group in walk order.
 
-    The walk is split by its first block across up to ``workers`` workers
-    (else the CPUs this process may run on) on the fork engine of
+    The walk is mapped over its first blocks on up to ``workers`` workers
+    (else the CPUs this process may run on) by the fork engine of
     ``sweeps``: with w workers, worker i walks first blocks i, i + w, ...,
     this process being worker 0.  Each worker gets at least ``_MIN_SHARE``
-    candidates, so a small box forks nothing.  The solutions are merged in
+    candidates, so a small box forks nothing.  The solutions come back in
     walk order, so the result is the same for any worker count.  Raises
     ``SweepWorkerError`` when a child crashes.
     """
     total = count_candidates(n_max, exp_budget)
-    firsts = [(m, e) for m in range(exp_budget) for e in range(1, exp_budget - m + 1)]
-    w = min(resolve_workers(workers), len(firsts), max(1, total // _MIN_SHARE))
-    parts = _fork_map(
-        partial(_walk, n_max, exp_budget), [firsts[i::w] for i in range(w)], _first_block_names
+    rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
+    # pairs[left]: the blocks that fit in a budget of ``left``, in walk
+    # order, all sharing one tuple per block; only a walk below depth 0
+    # needs them, and forked workers inherit them.
+    pairs: list[Blocks] = []
+    if n_max > 1:
+        pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
+    w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
+    per_first = _fork_map(
+        partial(_walk, n_max, exp_budget, pairs),
+        [p for row in rows for p in row],
+        w,
+        _first_block_names,
     )
-    return [
-        sol
-        for depth in range(n_max)
-        for k in range(len(firsts))
-        for sol in parts[k % w][k // w][depth]
-    ]
+    return [sol for depth in range(n_max) for by_length in per_first for sol in by_length[depth]]
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:

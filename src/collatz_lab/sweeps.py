@@ -1,15 +1,15 @@
 """Range sweeps: run a per-input check over an integer range, in parallel;
 and the fork engine that runs them and the cycle search.
 
-The engine, ``_fork_map``, runs one function over a list of shares, one
-worker per share.  The calling process runs share 0.  A child forked with
-``os.fork`` when the call is made runs each other share, so it inherits the
-function, its data and any monkeypatched function as they stand at that
-moment: nothing is pickled on the way in.  Each child pickles its one
-result into its own pipe and leaves by ``os._exit``, so no ``atexit``
-handler runs and no inherited buffer is flushed twice.  Results come back
-in share order.  One share, or a platform without ``os.fork``, forks
-nothing.
+The engine, ``_fork_map``, is a map over items, dealt round-robin, results
+in item order: on w workers, no more than there are items, worker i runs
+items i, i + w, i + 2w, ..., its share.  The calling process is worker 0.
+A child forked with ``os.fork`` when the call is made is each other worker,
+so it inherits the function, its data and any monkeypatched function as
+they stand at that moment: nothing is pickled on the way in.  Each child
+pickles its share's results into its own pipe and leaves by ``os._exit``,
+so no ``atexit`` handler runs and no inherited buffer is flushed twice.
+One worker, or a platform without ``os.fork``, forks nothing.
 
 A child that exits non-zero, dies by a signal or sends a short payload
 makes the call raise ``SweepWorkerError`` naming the child's share and its
@@ -23,12 +23,12 @@ that runs other threads (Python 3.12 and later warn).
 
 Each sweep takes a pure check function z -> None | (expected, actual) and
 scans a contiguous range.  With w workers the range is cut into 4*w
-contiguous spans, and worker i scans spans i, i + w, i + 2w, ...; the
-errors of a child name its spans.  The rows are merged in span order, so
-the counterexample list is sorted by input and the report is
-byte-identical for any worker count: the worker count is a throughput
-knob, never a semantics knob.  ``cycles.search_cycles`` splits its walk
-the same way, by first block; see there.
+contiguous spans, the engine's items, and the errors of a child name its
+spans.  The rows come back in span order, so the counterexample list is
+sorted by input and the report is byte-identical for any worker count: the
+worker count is a throughput knob, never a semantics knob.
+``cycles.search_cycles`` maps its walk over first blocks the same way; see
+there.
 
 The ``verify`` sweeps are the rows of ``SWEEPS``.  A row names its check
 kernel as ``"module.function"``, looked up once per sweep call, so a sweep
@@ -70,7 +70,7 @@ __all__ = [
 CheckFn = Callable[[int], "tuple[object, object] | None"]
 InputsFn = Callable[[int, int], Iterable[int]]
 Span = tuple[int, int]  # [lo, hi)
-Share = TypeVar("Share")
+Item = TypeVar("Item")
 Result = TypeVar("Result")
 
 SIEVE_BITS = 12
@@ -134,15 +134,15 @@ def _portable_error(exc: BaseException, who: str) -> tuple[BaseException, str]:
 
 
 def _child(
-    work: Callable[[Share], object],
-    share: Share,
+    work: Callable[[Item], object],
+    share: Sequence[Item],
     who: str,
     fd: int,
     inherited: list[int],
 ) -> NoReturn:
-    """Run ``work(share)`` in a forked child, send its result (or the error
-    that stopped it) down ``fd`` and leave without running any exit
-    handler.  Never returns into the caller's stack."""
+    """Run ``work`` over ``share`` in a forked child, send the results (or
+    the error that stopped them) down ``fd`` and leave without running any
+    exit handler.  Never returns into the caller's stack."""
     import pickle
 
     status = 1
@@ -150,7 +150,7 @@ def _child(
         for other in inherited:
             os.close(other)
         try:
-            payload = pickle.dumps((None, work(share)))
+            payload = pickle.dumps((None, [work(item) for item in share]))
         except BaseException as exc:  # sent to the parent, which raises it
             payload = pickle.dumps((_portable_error(exc, who), None))
         with open(fd, "wb") as pipe:
@@ -162,7 +162,7 @@ def _child(
 
 
 def _unpack(data: bytes, status: int, who: str) -> object:
-    """A reaped child's result, or the error it ended with."""
+    """A reaped child's results, or the error it ended with."""
     import pickle
 
     code = os.waitstatus_to_exitcode(status)
@@ -188,19 +188,21 @@ def _unpack(data: bytes, status: int, who: str) -> object:
 
 
 def _fork_map(
-    work: Callable[[Share], Result], shares: Sequence[Share], name: Callable[[Share], str]
+    work: Callable[[Item], Result],
+    items: Sequence[Item],
+    workers: int,
+    name: Callable[[list[Item]], str],
 ) -> list[Result]:
-    """``[work(share) for share in shares]``, one worker per share: this
-    process runs share 0 and a forked child runs each of the others.  Each
-    child pickles its one result into a pipe of its own; results come back
-    in share order.  ``name(share)`` completes "the worker for ..." in the
-    errors of a failed child.  One share, or a platform without
-    ``os.fork``, forks nothing.  Every child is reaped before this returns
-    or raises."""
-    if not hasattr(os, "fork"):
-        return [work(share) for share in shares]
-    if len(shares) > 1:
-        import pickle  # imported once here, so that no child imports it again
+    """``[work(item) for item in items]`` on up to ``workers`` workers, as
+    the module docstring describes.  ``name(share)`` completes "the worker
+    for ..." in the errors of the child that ran ``share``.  Every child is
+    reaped before this returns or raises."""
+    w = min(workers, len(items)) if hasattr(os, "fork") else 1
+    if w <= 1:
+        return [work(item) for item in items]
+    import pickle  # imported once here, so that no child imports it again
+
+    shares = [items[i::w] for i in range(w)]
     children: list[tuple[int, int, str]] = []  # (pid, read end, name)
     unreaped: set[int] = set()
     try:
@@ -219,13 +221,13 @@ def _fork_map(
                     unreaped.add(pid)
                 else:  # the fork itself failed
                     os.close(r)
-        results = [work(shares[0])]
+        parts = [[work(item) for item in shares[0]]]
         for pid, r, who in children:
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             unreaped.discard(pid)
-            results.append(_unpack(data, status, who))
+            parts.append(_unpack(data, status, who))
     finally:
         for pid, r, _ in children:
             os.close(r)
@@ -234,7 +236,7 @@ def _fork_map(
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return results
+    return [parts[k % w][k // w] for k in range(len(items))]
 
 
 def run_sweep(
@@ -265,13 +267,8 @@ def run_sweep(
     w = resolve_workers(workers)
     start = time.perf_counter()
     spans = _spans(lo, hi, 4 * w)
-    w = min(w, len(spans))
-    parts = _fork_map(
-        lambda share: [_scan(check, inputs, a, b) for a, b in share],
-        [spans[i::w] for i in range(w)],
-        _span_names,
-    )
-    rows = [row for k in range(len(spans)) for row in parts[k % w][k // w]]
+    parts = _fork_map(lambda span: _scan(check, inputs, *span), spans, w, _span_names)
+    rows = [row for part in parts for row in part]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,

@@ -434,12 +434,15 @@ def test_planted_simulation_fault_surfaces(monkeypatch, capsys):
 
 
 def test_vanishing_closure_raises_under_optimize():
+    # The walks step by cycles._extend, the closures by blocks.block_step.
     code = (
-        "import collatz_lab.cycles as C\n"
+        "import collatz_lab.blocks as B, collatz_lab.cycles as C\n"
         "from collatz_lab.errors import IdentityViolation\n"
-        "C._extend = lambda state, m, e: (8, 8, 1)\n"
+        "C._extend = B.block_step = lambda state, m, e: (8, 8, 1)\n"
         "for call in (lambda: C.cycle_k_n1(0, 1),\n"
-        "             lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,)))):\n"
+        "             lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,))),\n"
+        "             lambda: C.search_cycles(1, 1, workers=1),\n"
+        "             lambda: C.search_cycles_n1(1, 1)):\n"
         "    try:\n"
         "        call()\n"
         "    except IdentityViolation:\n"
@@ -451,4 +454,4 @@ def test_vanishing_closure_raises_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\nraised\n"
+    assert proc.stdout == "raised\n" * 4

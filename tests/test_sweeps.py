@@ -19,6 +19,7 @@ from collatz_lab.sweeps import (
     SIEVE_MODULUS,
     _descent_steps,
     _drop_check,
+    _fork_map,
     _sieve_survivors,
     _sieved_inputs,
     _spans,
@@ -188,6 +189,17 @@ def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
     report = run_sweep("three", lambda z: (z, -z), 5, 8, workers=64)
     assert len(forks) == 2
     assert [c.input for c in report.counterexamples] == ["5", "6", "7"]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("count", [0, 1, 5, 7])
+def test_fork_map_is_a_map_in_item_order(count, workers, monkeypatch):
+    forks, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+    items = [(3 * i) % 11 for i in range(count)]
+    got = _fork_map(lambda x: (x, x * x), items, workers, str)
+    assert got == [(x, x * x) for x in items]
+    assert len(forks) == max(0, min(workers, count) - 1)
 
 
 def _sevens(z):
@@ -405,7 +417,6 @@ def test_blocks_report_records_limit_and_premise():
 
 
 def test_default_workers_follow_the_affinity_mask(monkeypatch):
-    monkeypatch.delenv("COLLATZ_LAB_WORKERS", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
     assert resolve_workers() == 3
