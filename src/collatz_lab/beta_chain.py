@@ -15,7 +15,6 @@ checks the landing and the strict beta/eta alternation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 from .core import step_c
@@ -28,6 +27,7 @@ __all__ = [
     "solve_beta_chain",
     "solve_beta_chain_paper",
     "chain_path",
+    "chain_residues",
     "ChainCheck",
     "verify_beta_chain",
     "chain_counterexample",
@@ -113,8 +113,13 @@ def chain_path(k: int, m: int) -> list[int]:
     return path
 
 
-@dataclass
-class ChainCheck:
+def chain_residues(m: int) -> list[int]:
+    """The residues mod 4 of the 2m+2 values of a chain of exponent m:
+    beta and eta alternate (2, 3, ..., 2) and the landing is an alpha (1)."""
+    return [2, 3] * m + [2, 1]
+
+
+class ChainCheck(NamedTuple):
     """Replay of one chain against the map: landing value and class pattern."""
 
     k: int
@@ -128,25 +133,24 @@ class ChainCheck:
 def verify_beta_chain(k: int) -> ChainCheck:
     """Iterate the map 2m+1 steps from 4k+2 and check everything claimed:
 
-    the landing equals 4h+1, even-indexed chain values are beta, odd-indexed
-    ones are eta, and the final value is alpha.  Mismatches are reported, not
+    the landing equals 4h+1, and the classes along the chain follow
+    ``chain_residues``: even-indexed chain values are beta, odd-indexed ones
+    are eta, and the final value is alpha.  Mismatches are reported, not
     raised.
     """
     sol = solve_beta_chain(k)
     failures: list[str] = []
     pattern: list[ResidueClass] = []
     v = sol.beta
-    for j in range(sol.steps):
+    for j, want in enumerate(chain_residues(sol.m)):
         tag = classify(v).tag
         pattern.append(tag)
-        want = ResidueClass.BETA if j % 2 == 0 else ResidueClass.ETA
-        if tag is not want:
-            failures.append(f"step {j}: value {v} is {tag.ascii_name}, expected {want.ascii_name}")
-        v = step_c(v)
-    tag = classify(v).tag
-    pattern.append(tag)
-    if tag is not ResidueClass.ALPHA:
-        failures.append(f"landing {v} is {tag.ascii_name}, expected alpha")
+        if tag.offset & 3 != want:
+            where = f"step {j}: value {v}" if j < sol.steps else f"landing {v}"
+            want_name = ResidueClass(want or 4).ascii_name  # offset 4 is residue 0
+            failures.append(f"{where} is {tag.ascii_name}, expected {want_name}")
+        if j < sol.steps:
+            v = step_c(v)
     if v != sol.alpha:
         failures.append(f"landing {v} != 4h+1 = {sol.alpha}")
     if (k + 1) * 3**sol.m != (2 * sol.h + 1) * 2**sol.m:

@@ -29,11 +29,10 @@ the cycle search exploits.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .beta_chain import chain_path, solve_beta_chain, v2
+from .beta_chain import chain_path, chain_residues, solve_beta_chain, v2
 from .core import DEFAULT_STEP_LIMIT
 from .errors import DomainError, LimitExceeded
 
@@ -82,19 +81,30 @@ class Block(NamedTuple):
         return 2 * self.m + self.e + 2
 
 
-@dataclass
 class BlockSequence:
-    """Consecutive blocks; each one's k_out feeds the next one's k_in."""
+    """Consecutive blocks; each one's k_out feeds the next one's k_in.
 
-    blocks: list[Block]
+    The one record that checks what it holds, so a class, not a NamedTuple:
+    building one whose blocks do not chain raises DomainError."""
 
-    def __post_init__(self) -> None:
-        for a, b in zip(self.blocks, self.blocks[1:]):
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks: list[Block]) -> None:
+        for a, b in zip(blocks, blocks[1:]):
             if a.k_out != b.k_in:
                 raise DomainError(f"blocks do not chain: k_out {a.k_out} then k_in {b.k_in}")
+        self.blocks = blocks
 
     def __len__(self) -> int:
         return len(self.blocks)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks
+
+    def __repr__(self) -> str:
+        return f"BlockSequence(blocks={self.blocks!r})"
 
     @property
     def k_seq(self) -> list[int]:
@@ -260,10 +270,11 @@ def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple
         if not recurrence_holds(b):
             return ("block recurrence balance", f"violated at {b}")
         path = block_path(b)
-        for i, expect in enumerate(path):
+        # the chain, then gamma and its halvings (0 mod 4), then the next beta
+        residues = chain_residues(b.m) + [0] * b.e + [2]
+        for i, (expect, want) in enumerate(zip(path, residues, strict=True)):
             if v != expect:
                 return (f"path value {expect} (block k_in={b.k_in}, offset {i})", str(v))
-            want = _expected_residue(b, i)
             if v & 3 != want:
                 return (f"path residue {want} (mod 4)", f"{v} ~ {v & 3} (mod 4)")
             if i < len(path) - 1:
@@ -271,14 +282,3 @@ def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple
         k = b.k_out
         if k < floor:
             return None
-
-
-def _expected_residue(b: Block, i: int) -> int:
-    chain_len = 2 * b.m + 2
-    if i < chain_len - 1:
-        return 2 if i % 2 == 0 else 3
-    if i == chain_len - 1:
-        return 1  # the alpha
-    if i < chain_len + b.e:
-        return 0  # gamma, incl. intermediate halvings
-    return 2  # the closing beta

@@ -218,7 +218,7 @@ def run(argv=None) -> int:
         if report is None:
             sys.stdout.write(text)
             return 0
-        report.elapsed_ms = int((time.perf_counter() - start) * 1000)
+        report = report._replace(elapsed_ms=int((time.perf_counter() - start) * 1000))
         data = export_report(report, args.format)
         if args.format == "text":
             data = text.encode() + data

@@ -8,7 +8,6 @@ checked against the brute-force iteration defined in this one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 from .errors import DomainError, LimitExceeded
@@ -47,8 +46,7 @@ def step_t(z: int) -> int:
     return (3 * z + 1) >> 1 if z & 1 else z >> 1
 
 
-@dataclass
-class Trajectory:
+class Trajectory(NamedTuple):
     """An orbit prefix: values[0] is the start, values[-1] the last point."""
 
     start: int
@@ -137,8 +135,7 @@ class TreeNode(NamedTuple):
     parent: int | None
 
 
-@dataclass
-class BackwardTree:
+class BackwardTree(NamedTuple):
     """Breadth-first preimage expansion from 1, indexed by value."""
 
     depth: int
@@ -199,8 +196,7 @@ def delay_sieve(n_max: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
     return delays
 
 
-@dataclass
-class RecordTable:
+class RecordTable(NamedTuple):
     """Successive maxima of delay or glide, strictly increasing in both n and value."""
 
     kind: str

@@ -25,7 +25,6 @@ nothing here enforces them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import step_t
@@ -140,8 +139,7 @@ class BoundaryCheck(NamedTuple):
     holds: bool
 
 
-@dataclass
-class ShapeReport:
+class ShapeReport(NamedTuple):
     pattern: str
     boundaries: list[BoundaryCheck]
     residual: Fraction
@@ -185,7 +183,8 @@ def shape_residual(
                   residual = x1/3 + 1 + tail over j in 2..n-2
 
     ``tail`` overrides the summation bounds, since the default start index
-    is itself one of the conventions under scrutiny.  Boundary identities
+    is itself one of the conventions under scrutiny; each of its indices
+    must lie in range(len(seq)), else DomainError.  Boundary identities
     are evaluated as printed and reported individually; several are known
     to fail on honest inputs, and callers get the verdicts either way.
     """
@@ -196,6 +195,8 @@ def shape_residual(
     min_len = 2 if pattern == "pure_ab" else 3
     if len(seq) < min_len:
         raise PatternMismatch(f"{pattern} needs at least {min_len} points, got {len(seq)}")
+    if tail is not None and not all(0 <= j < len(seq) for j in tail):
+        raise DomainError(f"tail {tail} has an index outside range({len(seq)}), the indices of seq")
     for p in seq:
         _check_valid(p)
     c_first, c_second, c_last = _BOUNDARY_CLASSES[pattern]

@@ -8,8 +8,8 @@ CSV reader.  Each format imports its serializer only when it is asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from types import MappingProxyType
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import DomainError
 
@@ -24,13 +24,12 @@ class Counterexample(NamedTuple):
     actual: str
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     command: str
     checked: int
-    counterexamples: list[Counterexample] = field(default_factory=list)
+    counterexamples: Sequence[Counterexample] = ()
     elapsed_ms: int = 0
-    config: dict[str, str] = field(default_factory=dict)
+    config: Mapping[str, str] = MappingProxyType({})
 
     @property
     def passed(self) -> bool:

@@ -13,7 +13,6 @@ checked against direct evaluation of the map by
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
@@ -128,8 +127,7 @@ def transition_symbolic(c: ClassifiedInt) -> ClassifiedInt:
     return _new(ClassifiedInt, (dst, a * (k >> 1) + b))
 
 
-@dataclass
-class ClassSequence:
+class ClassSequence(NamedTuple):
     """Classes along a Collatz trajectory, with per-class tallies.
 
     Includes the starting value; excludes the terminal 1 unless the start
@@ -164,8 +162,7 @@ class GraphEdge(NamedTuple):
         return (k % 2 == 0) == (self.parity == "even")
 
 
-@dataclass(frozen=True)
-class TransitionGraph:
+class TransitionGraph(NamedTuple):
     edges: frozenset[GraphEdge]
 
     def edge_for(self, src: ResidueClass, k: int) -> GraphEdge:

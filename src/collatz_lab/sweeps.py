@@ -50,7 +50,8 @@ import importlib
 import os
 import time
 from functools import cache, partial
-from typing import Callable, Iterable, NamedTuple, NoReturn, Sequence, TypeVar
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
 from .core import DEFAULT_STEP_LIMIT
 from .errors import DomainError, SweepWorkerError
@@ -350,7 +351,7 @@ class Sweep(NamedTuple):
     start: int
     top_name: str
     takes_limit: bool = False
-    config: dict[str, str] = {}
+    config: Mapping[str, str] = MappingProxyType({})
     sieve: Callable[[int], tuple[int, ...]] | None = None
 
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from collatz_lab.beta_chain import (
     chain_counterexample,
     chain_path,
+    chain_residues,
     solve_beta_chain,
     solve_beta_chain_paper,
     v2,
@@ -74,6 +75,20 @@ def test_chain_path_matches_map(k):
     for expected in path:
         assert v == expected
         v = step_c(v)
+
+
+def test_chain_residues_are_those_of_the_chain():
+    for m in range(31):
+        for odd in (1, 3, 5, 7):
+            k = odd * 2**m - 1  # v2(k + 1) = m
+            assert chain_residues(m) == [v & 3 for v in chain_path(k, m)]
+
+
+def test_planted_chain_residues_fails_the_replay(monkeypatch):
+    monkeypatch.setattr("collatz_lab.beta_chain.chain_residues", lambda m: [2, 3] * m + [2, 3])
+    check = verify_beta_chain(3)
+    assert not check.ok
+    assert check.failures == ["landing 17 is alpha, expected eta"]
 
 
 def test_verify_beta_chain_k3():

@@ -19,6 +19,8 @@ from collatz_lab.blocks import (
 from collatz_lab.core import step_c
 from collatz_lab.cycles import CycleCandidate, cycle_equation_general
 from collatz_lab.errors import DomainError, LimitExceeded
+from collatz_lab.report import Counterexample
+from collatz_lab.sweeps import verify_blocks
 
 # ---- reference bodies -------------------------------------------------------
 # The Fraction forms of the recurrence that the cleared block step replaced:
@@ -255,6 +257,13 @@ def test_cut_off_walk_flags_a_planted_block_like_the_full_walk(monkeypatch):
     # The cut-off walk flags fewer starts, but never a sweep from 0 less.
     assert 63 in cut
     assert cut <= full
+
+
+def test_planted_chain_residues_fails_verify_blocks(monkeypatch):
+    monkeypatch.setattr("collatz_lab.blocks.chain_residues", lambda m: [2, 3] * m + [2, 3])
+    report = verify_blocks(10, workers=1)
+    assert len(report.counterexamples) == 11
+    assert report.counterexamples[0] == Counterexample("0", "path residue 3 (mod 4)", "1 ~ 1 (mod 4)")
 
 
 def test_block_counterexample_step_limit():

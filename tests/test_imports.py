@@ -36,7 +36,16 @@ def test_import_package_loads_no_submodule():
 
 
 # Modules that none of the commands below runs.
-_NEVER = {"collatz_lab.cycles", "collatz_lab.blocks", "fractions", "csv", "pickle", "signal"}
+_NEVER = {
+    "collatz_lab.cycles",
+    "collatz_lab.blocks",
+    "fractions",
+    "csv",
+    "pickle",
+    "signal",
+    "dataclasses",
+    "inspect",
+}
 
 
 @pytest.mark.parametrize(
@@ -47,8 +56,9 @@ _NEVER = {"collatz_lab.cycles", "collatz_lab.blocks", "fractions", "csv", "pickl
         (["polyline", "7"], set()),
         (["verify", "transitions", "--max", "300", "--workers", "1"], set()),
         (["records", "delay", "--max", "300"], set()),
+        (["tree", "--depth", "5"], set()),
     ],
-    ids=["classify", "trajectory", "polyline", "verify-transitions", "records-delay"],
+    ids=["classify", "trajectory", "polyline", "verify-transitions", "records-delay", "tree"],
 )
 def test_command_loads_only_what_it_runs(argv, also_unused):
     code = (

@@ -210,6 +210,12 @@ def test_tail_bounds_are_overridable():
     assert wider.residual == 1 + p2.x + (p2.s + p2.x) * (p2.s - p2.x)
 
 
+@pytest.mark.parametrize("tail", [range(-2, 1), range(0, 5)], ids=["negative", "past-end"])
+def test_tail_outside_the_sequence_rejected(tail):
+    with pytest.raises(DomainError):
+        shape_residual([to_polyline(1), to_polyline(2)], "pure_ab", tail=tail)
+
+
 def test_unknown_pattern_rejected():
     with pytest.raises(DomainError):
         shape_residual([to_polyline(1), to_polyline(2)], "with_delta")
