@@ -18,13 +18,15 @@ diagnostic goes to standard error.
 Exit codes: 0 all checks pass, 1 usage or I/O error, 2 a verification found
 a counterexample.
 
-The parser checks only that an integer argument is an integer.  Its range
-is checked once, by the library function the command calls, whose
+The parser checks an argument's type, and its value only for ``--format``,
+which would otherwise fail after the command's work is done.  Every other
+value (a range, a sweep name, a record kind, whether ``--limit`` applies) is
+checked once, by the library function the command calls, whose
 ``DomainError`` message is what the command prints after ``error:``.
 
 Start-up is most of a short command's time, so this module imports at its
-top only the modules the parser needs (``core``, ``report``, ``sweeps``);
-a command that runs another module imports it itself.
+top only the modules the parser needs (``core``, ``report``); a command
+that runs another module imports it itself.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from typing import TYPE_CHECKING, Iterable
 from .core import DEFAULT_STEP_LIMIT, backward_tree, records_sweep, trajectory
 from .errors import CollatzLabError
 from .report import FORMATS, Counterexample, VerificationReport, export_report
-from .sweeps import SWEEPS, _verify
 
 if TYPE_CHECKING:
     from .cycles import CycleSolution
@@ -84,14 +85,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_polyline)
 
     p = sub.add_parser("verify", help="run a verification sweep")
-    p.add_argument("what", choices=tuple(SWEEPS))
+    p.add_argument("what", metavar="SWEEP")
     p.add_argument("--max", type=int, required=True, dest="max_value")
     p.add_argument(
         "--limit",
         type=int,
-        default=None,
-        help=f"raw-step budget of {' and '.join(n for n, s in SWEEPS.items() if s.takes_limit)}"
-        f" (default {DEFAULT_STEP_LIMIT})",
+        help=f"raw-step budget of blocks and convergence (default {DEFAULT_STEP_LIMIT})",
     )
     p.add_argument("--workers", type=int, default=None)
     _add_output_flags(p)
@@ -106,7 +105,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.set_defaults(func=_cmd_cycles_search)
 
     p = sub.add_parser("records", help="delay/glide record table")
-    p.add_argument("kind", choices=("delay", "glide"))
+    p.add_argument("kind", metavar="KIND")
     p.add_argument("--max", type=int, required=True, dest="max_value")
     p.add_argument("--limit", type=int, default=DEFAULT_STEP_LIMIT)
     _add_output_flags(p)
@@ -140,10 +139,9 @@ def _cmd_polyline(args) -> Outcome:
 
 
 def _cmd_verify(args) -> Outcome:
-    if args.limit is not None and not SWEEPS[args.what].takes_limit:
-        raise UsageError(f"--limit does not apply to verify {args.what}")
-    limit = DEFAULT_STEP_LIMIT if args.limit is None else args.limit
-    return _verify(args.what, args.max_value, args.workers, limit), ()
+    from .sweeps import _verify
+
+    return _verify(args.what, args.max_value, args.workers, args.limit), ()
 
 
 def _cycle_line(s: CycleSolution) -> str:

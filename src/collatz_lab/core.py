@@ -32,6 +32,11 @@ __all__ = [
 ]
 
 
+def _check_step_limit(step_limit: int) -> None:
+    if step_limit < 1:
+        raise DomainError(f"step_limit must be >= 1, got {step_limit}")
+
+
 def step_c(z: int) -> int:
     """One Collatz step: z/2 for even z, 3z+1 for odd z."""
     if z < 1:
@@ -70,8 +75,7 @@ def trajectory(
     """
     if z < 1:
         raise DomainError(f"trajectory needs z >= 1, got {z}")
-    if step_limit < 1:
-        raise DomainError(f"step_limit must be >= 1, got {step_limit}")
+    _check_step_limit(step_limit)
     values = [z]
     v = z
     for _ in range(step_limit):
@@ -91,6 +95,7 @@ def delay(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:
     """Number of Collatz steps from z to the first 1."""
     if z < 1:
         raise DomainError(f"delay needs z >= 1, got {z}")
+    _check_step_limit(step_limit)
     v = z
     for j in range(step_limit + 1):
         if v == 1:
@@ -106,6 +111,7 @@ def glide(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:
     """
     if z < 2:
         raise DomainError(f"glide needs z >= 2, got {z}")
+    _check_step_limit(step_limit)
     v = z
     for j in range(1, step_limit + 1):
         v = 3 * v + 1 if v & 1 else v >> 1
@@ -183,6 +189,7 @@ def delay_sieve(n_max: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
     """
     if n_max < 1:
         raise DomainError(f"n_max must be >= 1, got {n_max}")
+    _check_step_limit(step_limit)
     delays = [0] * (n_max + 1)
     for n in range(2, n_max + 1):
         v = n
@@ -215,8 +222,6 @@ def records_sweep(
         raise DomainError(f"kind must be 'delay' or 'glide', got {kind!r}")
     if n_max < 2:
         raise DomainError(f"n_max must be >= 2, got {n_max}")
-    if step_limit < 1:
-        raise DomainError(f"step_limit must be >= 1, got {step_limit}")
     if kind == "delay":
         values = enumerate(delay_sieve(n_max, step_limit))
     else:

@@ -133,22 +133,12 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
 
     So each m is tested only at e = (3**(m+1)).bit_length() - m - 1, which
     is at least 1 since 3^(m+1) > 2^(m+1): m_max + 1 divisions in place of
-    (m_max + 1) * e_max.
+    (m_max + 1) * e_max, each by ``_walk`` over that one block.
     """
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
-    found = []
-    for m in range(m_max + 1):
-        e = (3 ** (m + 1)).bit_length() - m - 1
-        if e <= e_max:
-            p, t, s = _extend(START, m, e)
-            try:
-                q, r = divmod(s, p - t)
-            except ZeroDivisionError:
-                raise _vanished(p) from None
-            if not r and q >= 0:
-                found.append(_hit([(m, e)], q))
-    return found
+    blocks = [(m, (3 ** (m + 1)).bit_length() - m - 1) for m in range(m_max + 1)]
+    return [s for m, e in blocks if e <= e_max for s in _walk(1, m + e, [], (m, e))[0]]
 
 
 Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order

@@ -53,7 +53,7 @@ from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
-from .core import DEFAULT_STEP_LIMIT
+from .core import DEFAULT_STEP_LIMIT, _check_step_limit
 from .errors import DomainError, SweepWorkerError
 from .report import Counterexample, VerificationReport
 
@@ -375,19 +375,25 @@ SWEEPS: dict[str, Sweep] = {
 
 
 def _verify(
-    name: str, top: int, workers: int | None, step_limit: int = DEFAULT_STEP_LIMIT
+    name: str, top: int, workers: int | None, step_limit: int | None = None
 ) -> VerificationReport:
-    """Run the sweep ``SWEEPS[name]`` over [start, top]; ``step_limit`` is
-    ignored by a sweep that takes none."""
-    sweep = SWEEPS[name]
+    """Run the sweep ``SWEEPS[name]`` over [start, top], with ``step_limit``
+    (None for ``DEFAULT_STEP_LIMIT``) if the sweep takes one.  Raises
+    ``DomainError`` for an unknown name, then for a step limit given to a
+    sweep that takes none, then for a value out of range."""
+    sweep = SWEEPS.get(name)
+    if sweep is None:
+        raise DomainError(f"unknown sweep {name!r}; expected one of {tuple(SWEEPS)}")
+    if step_limit is not None and not sweep.takes_limit:
+        raise DomainError(f"step_limit (--limit) does not apply to verify {name}")
     if top < sweep.start:
         raise DomainError(f"{sweep.top_name} must be >= {sweep.start}, got {top}")
     module, _, function = sweep.check.rpartition(".")
     check = getattr(importlib.import_module(f"{__package__}.{module}"), function)
     inputs, config = range, {"max": str(top), **sweep.config}
     if sweep.takes_limit:
-        if step_limit < 1:
-            raise DomainError(f"step_limit must be >= 1, got {step_limit}")
+        step_limit = DEFAULT_STEP_LIMIT if step_limit is None else step_limit
+        _check_step_limit(step_limit)
         check = partial(check, step_limit=step_limit)
         config["limit"] = str(step_limit)
         if sweep.sieve is not None:

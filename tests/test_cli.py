@@ -82,9 +82,13 @@ def test_usage_errors_exit_1(argv, capsys):
          "need n_max >= 1 and exp_budget >= n_max, got (0, 6)"),
         (("records", "delay", "--max", "100", "--limit", "0"), "step_limit must be >= 1, got 0"),
         (("tree", "--depth", "-1"), "depth must be >= 0, got -1"),
+        (("verify", "nonsense", "--max", "5"),
+         f"unknown sweep 'nonsense'; expected one of {tuple(SWEEPS)}"),
+        (("records", "nonsense", "--max", "5"), "kind must be 'delay' or 'glide', got 'nonsense'"),
     ],
     ids=["classify", "polyline", "trajectory-start", "trajectory-limit", "verify-max",
-         "verify-limit", "verify-workers", "cycles-n-max", "records-limit", "tree-depth"],
+         "verify-limit", "verify-workers", "cycles-n-max", "records-limit", "tree-depth",
+         "verify-sweep", "records-kind"],
 )
 def test_out_of_range_integer_is_the_library_error(argv, message, capsys):
     assert run(*argv) == 1

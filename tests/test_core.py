@@ -171,6 +171,13 @@ def test_records_rejects_a_step_limit_below_one(kind):
         records_sweep(100, kind, 0)
 
 
+@pytest.mark.parametrize("limit", [0, -1])
+@pytest.mark.parametrize("fn, arg", [(delay, 27), (glide, 27), (delay_sieve, 100)])
+def test_step_limit_below_one_is_a_domain_error(fn, arg, limit):
+    with pytest.raises(DomainError, match=f"^step_limit must be >= 1, got {limit}$"):
+        fn(arg, limit)
+
+
 @settings(max_examples=25)
 @given(st.integers(min_value=2, max_value=4000))
 def test_records_are_strict_maxima(n_max):

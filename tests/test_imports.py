@@ -47,16 +47,19 @@ _NEVER = {
     "inspect",
 }
 
+# The parser reads nothing from ``sweeps``; only ``verify`` and ``cycles`` load it.
+_SWEEPS = "collatz_lab.sweeps"
+
 
 @pytest.mark.parametrize(
     "argv, also_unused",
     [
-        (["classify", "100"], {"collatz_lab.polyline", "collatz_lab.beta_chain"}),
-        (["trajectory", "--start", "27"], set()),
-        (["polyline", "7"], set()),
+        (["classify", "100"], {_SWEEPS, "collatz_lab.polyline", "collatz_lab.beta_chain"}),
+        (["trajectory", "--start", "27"], {_SWEEPS}),
+        (["polyline", "7"], {_SWEEPS}),
         (["verify", "transitions", "--max", "300", "--workers", "1"], set()),
-        (["records", "delay", "--max", "300"], set()),
-        (["tree", "--depth", "5"], set()),
+        (["records", "delay", "--max", "300"], {_SWEEPS}),
+        (["tree", "--depth", "5"], {_SWEEPS}),
     ],
     ids=["classify", "trajectory", "polyline", "verify-transitions", "records-delay", "tree"],
 )

@@ -23,6 +23,7 @@ from collatz_lab.sweeps import (
     _sieve_survivors,
     _sieved_inputs,
     _spans,
+    _verify,
     resolve_workers,
     run_sweep,
     verify_beta_chains,
@@ -408,6 +409,21 @@ def test_a_patched_kernel_reaches_verify(workers, monkeypatch, capsys):
 def test_step_limit_below_one_is_a_domain_error(sweep):
     with pytest.raises(DomainError, match="step_limit must be >= 1"):
         sweep(workers=1)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("nonsense", 5, 1), "unknown sweep 'nonsense'; expected one of ('transitions', "),
+        (("polyline", 5, 1, 3), "step_limit (--limit) does not apply to verify polyline"),
+        (("polyline", 0, 1, 3), "step_limit (--limit) does not apply to verify polyline"),
+    ],
+    ids=["unknown-name", "limit-not-taken", "limit-checked-before-range"],
+)
+def test_verify_rejects_what_the_parser_no_longer_checks(args, message):
+    with pytest.raises(DomainError) as info:
+        _verify(*args)
+    assert str(info.value).startswith(message)
 
 
 def test_blocks_report_records_limit_and_premise():
