@@ -138,7 +138,7 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
     blocks = [(m, (3 ** (m + 1)).bit_length() - m - 1) for m in range(m_max + 1)]
-    return [s for m, e in blocks if e <= e_max for s in _walk(1, m + e, [], (m, e))[0]]
+    return [s for m, e in blocks if e <= e_max for s in _walk(1, m + e, [], (m, e))]
 
 
 Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order
@@ -155,15 +155,15 @@ def _first_block_names(share: Blocks) -> str:
 
 def _walk(
     n_max: int, exp_budget: int, pairs: list[Blocks], first: tuple[int, int]
-) -> list[list[CycleSolution]]:
-    """The solutions below first block ``first``, per length, each length
-    in walk order; ``pairs`` is the table built by ``search_cycles``."""
+) -> list[CycleSolution]:
+    """The solutions below first block ``first``, in walk order; ``pairs``
+    is the table built by ``search_cycles``.  A node's depth is the length
+    of ``path``, the blocks above it."""
     path: list[tuple[int, int]] = []
-    by_length: list[list[CycleSolution]] = [[] for _ in range(n_max)]
+    found: list[CycleSolution] = []
 
-    def walk(state: State, todo: Blocks, remaining: int, depth: int) -> None:
-        found = by_length[depth]
-        deeper = depth + 1 < n_max
+    def walk(state: State, todo: Blocks, remaining: int) -> None:
+        deeper = len(path) + 1 < n_max
         for pair in todo:
             m, e = pair
             child = _extend(state, m, e)
@@ -177,11 +177,11 @@ def _walk(
             left = remaining - m - e
             if deeper and left:
                 path.append(pair)
-                walk(child, pairs[left], left, depth + 1)
+                walk(child, pairs[left], left)
                 path.pop()
 
-    walk(START, [first], exp_budget, 0)
-    return by_length
+    walk(START, [first], exp_budget)
+    return found
 
 
 def search_cycles(
@@ -199,9 +199,10 @@ def search_cycles(
     (else the CPUs this process may run on) by the fork engine of
     ``sweeps``: with w workers, worker i walks first blocks i, i + w, ...,
     this process being worker 0.  Each worker gets at least ``_MIN_SHARE``
-    candidates, so a small box forks nothing.  The solutions come back in
-    walk order, so the result is the same for any worker count.  Raises
-    ``SweepWorkerError`` when a child crashes.
+    candidates, so a small box forks nothing.  The engine returns each first
+    block's solutions in first-block order, which is walk order, and one
+    stable sort by length groups them, so the result is the same for any
+    worker count.  Raises ``SweepWorkerError`` when a child crashes.
     """
     total = count_candidates(n_max, exp_budget)
     rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
@@ -212,13 +213,13 @@ def search_cycles(
     if n_max > 1:
         pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
     w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
-    per_first = _fork_map(
+    parts = _fork_map(
         partial(_walk, n_max, exp_budget, pairs),
         [p for row in rows for p in row],
         w,
         _first_block_names,
     )
-    return [sol for depth in range(n_max) for by_length in per_first for sol in by_length[depth]]
+    return sorted((sol for part in parts for sol in part), key=lambda sol: sol.candidate.n)
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:

@@ -199,36 +199,27 @@ def shape_residual(
         raise DomainError(f"tail {tail} has an index outside range({len(seq)}), the indices of seq")
     for p in seq:
         _check_valid(p)
-    c_first, c_second, c_last = _BOUNDARY_CLASSES[pattern]
-    got = (
-        class_from_polyline(seq[0]),
-        class_from_polyline(seq[1]),
-        class_from_polyline(seq[-1]),
-    )
-    for want, have, where in zip(
-        (c_first, c_second, c_last), got, ("seq[0]", "seq[1]", "seq[-1]")
-    ):
+    for i, want in zip((0, 1, -1), _BOUNDARY_CLASSES[pattern]):
+        have = class_from_polyline(seq[i])
         if want is not None and have is not want:
             raise PatternMismatch(
-                f"{pattern} needs {want.ascii_name} at {where}, got {have.ascii_name}"
+                f"{pattern} needs {want.ascii_name} at seq[{i}], got {have.ascii_name}"
             )
 
     n = len(seq)
+    if tail is None:
+        tail = range(2, n if pattern == "pure_ab" else n - 1)
     x0, s0 = seq[0].x, seq[0].s
     x1, s1 = seq[1].x, seq[1].s
     xl, sl = seq[-1].x, seq[-1].s
 
     if pattern == "pure_ab":
-        if tail is None:
-            tail = range(2, n)
         boundaries = [
             BoundaryCheck("s0 == x0", s0 == x0),
             BoundaryCheck("x0 == (s1 + x1)/3", Fraction(s1 + x1, 3) == x0),
         ]
         head = Fraction(1 - x0, 2)
     elif pattern == "with_gamma":
-        if tail is None:
-            tail = range(2, n - 1)
         boundaries = [
             BoundaryCheck("s[n-1] + 1 == x[n-1]", sl + 1 == xl),
             BoundaryCheck("x[n-1] == s0 + x0", xl == s0 + x0),
@@ -241,8 +232,6 @@ def shape_residual(
         ]
         head = Fraction(-5 * x1 + 6)
     else:  # with_eta
-        if tail is None:
-            tail = range(2, n - 1)
         boundaries = [
             BoundaryCheck("s[n-1] + 1 == x[n-1]", sl + 1 == xl),
             BoundaryCheck("x[n-1] == s0 + x0", xl == s0 + x0),

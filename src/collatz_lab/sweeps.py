@@ -196,18 +196,19 @@ def _fork_map(
 ) -> list[Result]:
     """``[work(item) for item in items]`` on up to ``workers`` workers, as
     the module docstring describes.  ``name(share)`` completes "the worker
-    for ..." in the errors of the child that ran ``share``.  Every child is
-    reaped before this returns or raises."""
-    w = min(workers, len(items)) if hasattr(os, "fork") else 1
-    if w <= 1:
-        return [work(item) for item in items]
-    import pickle  # imported once here, so that no child imports it again
-
+    for ..." in the errors of the child that ran ``share``.  Every worker
+    count takes the one path below: with one worker, no items or no
+    ``os.fork``, ``shares[1:]`` is empty, so nothing is forked and
+    ``pickle`` is not imported.  Every child is reaped before this returns
+    or raises."""
+    w = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
     shares = [items[i::w] for i in range(w)]
     children: list[tuple[int, int, str]] = []  # (pid, read end, name)
     unreaped: set[int] = set()
     try:
         for share in shares[1:]:
+            import pickle  # imported before the fork, so that no child imports it again
+
             who = name(share)
             r, w_end = os.pipe()
             pid = 0
@@ -247,7 +248,7 @@ def run_sweep(
     hi: int,
     *,
     workers: int | None = None,
-    config: dict[str, str] | None = None,
+    config: Mapping[str, str] = MappingProxyType({}),
     inputs: InputsFn = range,
 ) -> VerificationReport:
     """Scan [lo, hi) with ``check`` and wrap the outcome in a report.
@@ -276,7 +277,7 @@ def run_sweep(
         checked=hi - lo,
         counterexamples=rows,
         elapsed_ms=elapsed_ms,
-        config=config or {},
+        config=config,
     )
 
 

@@ -137,6 +137,15 @@ def test_limit_applies_to_blocks_and_convergence(argv, code, capsys):
     assert ("result: FAIL" if code else "result: PASS") in capsys.readouterr().out
 
 
+def test_limit_help_names_the_sweeps_that_take_a_limit():
+    # The parser does not import sweeps, so its help text is static; this
+    # keeps it in step with the registry.
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    (limit,) = [a for a in sub.choices["verify"]._actions if "--limit" in a.option_strings]
+    named = {name for name in SWEEPS if re.search(rf"\b{re.escape(name)}\b", limit.help)}
+    assert named == {name for name, sweep in SWEEPS.items() if sweep.takes_limit}
+
+
 # Each registry row's public function, called as the CLI would at --max 300.
 _PUBLIC = {
     "transitions": lambda limit: verify_transitions(300, 1),

@@ -226,3 +226,34 @@ def test_short_sequences_rejected():
         shape_residual([to_polyline(1)], "pure_ab")
     with pytest.raises(PatternMismatch):
         shape_residual([to_polyline(2), to_polyline(1)], "with_gamma")
+
+
+@pytest.mark.parametrize(
+    "zs, pattern, message",
+    [
+        ((2, 1), "pure_ab", "pure_ab needs alpha at seq[0], got beta"),
+        ((1, 1), "pure_ab", "pure_ab needs beta at seq[1], got alpha"),
+        ((2, 1, 2), "with_gamma", "with_gamma needs gamma at seq[-1], got beta"),
+        ((19, 29, 4), "with_eta", "with_eta needs beta at seq[-1], got gamma"),
+    ],
+)
+def test_class_mismatch_names_the_position(zs, pattern, message):
+    with pytest.raises(PatternMismatch) as info:
+        shape_residual([to_polyline(z) for z in zs], pattern)
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "zs, pattern, tail",
+    [
+        ((1, 2, 7, 8, 9), "pure_ab", range(2, 5)),
+        ((2, 1, 5, 6, 4), "with_gamma", range(2, 4)),
+        ((3, 1, 5, 6, 2), "with_eta", range(2, 4)),
+    ],
+)
+def test_default_tail_per_pattern(zs, pattern, tail):
+    # pure_ab sums up to seq[n-1]; the other two stop before it.
+    pts = [to_polyline(z) for z in zs]
+    rep = shape_residual(pts, pattern)
+    assert rep.tail == tail
+    assert rep.residual == shape_residual(pts, pattern, tail=tail).residual

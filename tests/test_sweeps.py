@@ -7,6 +7,7 @@ import sys
 import warnings
 from functools import partial
 from pathlib import Path
+from types import MappingProxyType
 
 import pytest
 
@@ -177,6 +178,12 @@ def test_lambda_check_runs_on_two_workers():
     report = run_sweep("lambda", lambda z: (0, z) if z % 7 == 0 else None, 1, 100, workers=2)
     assert [c.input for c in report.counterexamples] == [str(z) for z in range(7, 100, 7)]
     assert report.checked == 99
+
+
+def test_a_report_made_without_a_config_has_a_read_only_one():
+    report = run_sweep("x", lambda z: None, 0, 3, workers=1)
+    assert type(report.config) is MappingProxyType
+    assert report.config == {}
 
 
 def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
