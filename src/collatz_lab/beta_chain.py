@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .core import step_c
 from .errors import DomainError
-from .residues import ClassifiedInt, ResidueClass, classify
+from .residues import ClassifiedInt, ResidueClass, _new, classify
 
 __all__ = [
     "v2",
@@ -39,9 +39,6 @@ def v2(n: int) -> int:
     if n < 1:
         raise DomainError(f"v2 needs n >= 1, got {n}")
     return (n & -n).bit_length() - 1
-
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class BetaChainSolution(NamedTuple):

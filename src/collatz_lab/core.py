@@ -4,11 +4,17 @@ and stopping-time records.
 Everything here works on plain Python ints, so values never wrap no matter
 how far a trajectory climbs.  All symbolic machinery in the other modules is
 checked against the brute-force iteration defined in this one.
+
+``step_c`` is the raw map, and ``trajectory`` is the one walk to 1 built on
+it.  Four loops inline the step instead of calling it: ``glide``,
+``delay_sieve``, ``sweeps._drop_check`` and ``blocks.block_counterexample``.
+Each runs once per input of a sweep or a record table, where most walks end
+within a few steps, so a call per step would cost more than the walk.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import DomainError, LimitExceeded
 
@@ -63,15 +69,11 @@ class Trajectory(NamedTuple):
         return len(self.values) - 1
 
 
-def trajectory(
-    z: int,
-    step: Callable[[int], int] = step_c,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-) -> Trajectory:
-    """Iterate ``step`` from z until 1 is reached.
+def trajectory(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> Trajectory:
+    """Iterate step_c from z until 1 is reached.
 
     Raises LimitExceeded (carrying the partial, reached_one=False trajectory)
-    if 1 does not show up within ``step_limit`` applications.
+    if 1 does not show up within ``step_limit`` steps.
     """
     if z < 1:
         raise DomainError(f"trajectory needs z >= 1, got {z}")
@@ -80,28 +82,26 @@ def trajectory(
     v = z
     for _ in range(step_limit):
         if v == 1:
-            return Trajectory(z, values, True)
-        v = step(v)
+            break
+        v = step_c(v)
         values.append(v)
-    if v == 1:
-        return Trajectory(z, values, True)
-    raise LimitExceeded(
-        f"{z} did not reach 1 within {step_limit} steps",
-        partial=Trajectory(z, values, False),
-    )
+    if v != 1:
+        raise LimitExceeded(
+            f"{z} did not reach 1 within {step_limit} steps",
+            partial=Trajectory(z, values, False),
+        )
+    return Trajectory(z, values, True)
 
 
 def delay(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:
-    """Number of Collatz steps from z to the first 1."""
+    """Number of Collatz steps from z to the first 1: the steps of its trajectory.
+
+    Past ``step_limit`` the LimitExceeded of ``trajectory`` propagates, with
+    its partial orbit.
+    """
     if z < 1:
         raise DomainError(f"delay needs z >= 1, got {z}")
-    _check_step_limit(step_limit)
-    v = z
-    for j in range(step_limit + 1):
-        if v == 1:
-            return j
-        v = 3 * v + 1 if v & 1 else v >> 1
-    raise LimitExceeded(f"{z} did not reach 1 within {step_limit} steps")
+    return trajectory(z, step_limit).steps
 
 
 def glide(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:

@@ -29,7 +29,7 @@ from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 from .core import step_t
 from .errors import DomainError, IdentityViolation, InvalidPolyline, PatternMismatch
-from .residues import ResidueClass, classify
+from .residues import ResidueClass, _new, classify
 
 if TYPE_CHECKING:  # only shape_residual computes with fractions
     from fractions import Fraction
@@ -49,9 +49,6 @@ __all__ = [
     "shape_residual",
     "polyline_counterexample",
 ]
-
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class Polyline(NamedTuple):
@@ -150,14 +147,14 @@ class ShapeReport(NamedTuple):
         return all(b.holds for b in self.boundaries)
 
 
-SHAPE_PATTERNS = ("pure_ab", "with_gamma", "with_eta")
-
 _BOUNDARY_CLASSES = {
     # pattern -> required classes of (seq[0], seq[1], seq[-1])
     "pure_ab": (ResidueClass.ALPHA, ResidueClass.BETA, None),
     "with_gamma": (ResidueClass.BETA, ResidueClass.ALPHA, ResidueClass.GAMMA),
     "with_eta": (ResidueClass.ETA, ResidueClass.ALPHA, ResidueClass.BETA),
 }
+
+SHAPE_PATTERNS = tuple(_BOUNDARY_CLASSES)
 
 
 def _tail_sum(seq: Sequence[Polyline], tail: range) -> int:

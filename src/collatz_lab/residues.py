@@ -140,7 +140,7 @@ class ClassSequence(NamedTuple):
 
 
 def class_sequence(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> ClassSequence:
-    traj = trajectory(z, step_c, step_limit)
+    traj = trajectory(z, step_limit)
     values = traj.values
     if len(values) > 1:
         values = values[:-1]  # drop the terminal 1

@@ -14,6 +14,7 @@ from collatz_lab.core import (
     trajectory,
 )
 from collatz_lab.errors import DomainError, LimitExceeded
+from collatz_lab.residues import class_sequence
 
 
 def brute_c(z, n):
@@ -99,6 +100,31 @@ def test_glide_spots():
 def test_glide_of_1_is_undefined():
     with pytest.raises(DomainError):
         glide(1)
+
+
+# 27 reaches 1 in 111 steps and first drops below itself in 96: each walk
+# must pass at exactly its count and raise one step short of it.
+def test_walks_to_1_at_their_budget_edge():
+    assert delay(27, 111) == trajectory(27, step_limit=111).steps == 111
+    assert len(class_sequence(27, 111).classes) == 111
+    for walk in (delay, lambda z, n: trajectory(z, step_limit=n), class_sequence):
+        with pytest.raises(LimitExceeded, match="^27 did not reach 1 within 110 steps$"):
+            walk(27, 110)
+
+
+def test_drop_walks_at_their_budget_edge():
+    assert glide(27, 96) == 96
+    assert delay_sieve(27, 96)[27] == 111
+    for walk in (glide, delay_sieve):
+        with pytest.raises(
+            LimitExceeded, match="^27 did not drop below itself within 95 steps$"
+        ):
+            walk(27, 95)
+
+
+def test_delay_domain_message():
+    with pytest.raises(DomainError, match=r"^delay needs z >= 1, got 0$"):
+        delay(0)
 
 
 @given(st.integers(min_value=2, max_value=20000))

@@ -149,6 +149,14 @@ def test_pure_ab_on_the_trivial_cycle():
     assert rep.tail == range(2, 2)
 
 
+def test_unknown_pattern_names_the_patterns_in_order():
+    with pytest.raises(DomainError) as exc:
+        shape_residual([to_polyline(1), to_polyline(2)], "nope")
+    assert str(exc.value) == (
+        "unknown pattern 'nope'; expected one of ('pure_ab', 'with_gamma', 'with_eta')"
+    )
+
+
 def test_pure_ab_rejects_wrong_leading_classes():
     with pytest.raises(PatternMismatch):
         shape_residual([to_polyline(2), to_polyline(1)], "pure_ab")
