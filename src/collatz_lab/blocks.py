@@ -10,7 +10,8 @@ to a beta.  The indices obey
 
 an affine map k_out = A*k_in + B whose denominators clear exactly on real
 blocks.  Iterating blocks walks beta to beta; the fixed point k = 0 is the
-trivial loop 2 -> 1 -> 4 -> 2.
+trivial loop 2 -> 1 -> 4 -> 2.  The walk has one encoding, ``_blocks_from``,
+which every decomposition, the sweep kernel and ``cycles._simulate`` read.
 
 The recurrence has one encoding here, the cleared-integer ``block_step``.
 A state (P, T, S) starts at ``START`` = (1, 1, 0), and block (m, e) maps it
@@ -30,7 +31,8 @@ the cycle search exploits.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from itertools import islice
+from typing import Iterator, NamedTuple, Sequence
 
 from .beta_chain import chain_path, chain_residues, solve_beta_chain, v2
 from .core import DEFAULT_STEP_LIMIT
@@ -140,6 +142,15 @@ def block_path(b: Block) -> list[int]:
     return path
 
 
+def _blocks_from(k: int) -> Iterator[Block]:
+    """The real blocks from beta = 4*k + 2, without end; ``make_block`` is
+    looked up per block, so a patched ``blocks.make_block`` reaches it."""
+    while True:
+        b = make_block(k)
+        yield b
+        k = b.k_out
+
+
 def decompose(k0: int, n_blocks: int) -> BlockSequence:
     """n_blocks consecutive blocks starting from beta = 4*k0 + 2.
 
@@ -148,34 +159,25 @@ def decompose(k0: int, n_blocks: int) -> BlockSequence:
     """
     if n_blocks < 1:
         raise DomainError(f"n_blocks must be >= 1, got {n_blocks}")
-    out = []
-    k = k0
-    for _ in range(n_blocks):
-        b = make_block(k)
-        out.append(b)
-        k = b.k_out
-    return BlockSequence(out)
+    return BlockSequence(list(islice(_blocks_from(k0), n_blocks)))
 
 
 def decompose_until_trivial(k0: int, max_blocks: int = 10**5) -> BlockSequence:
     """Blocks from k0 until the fixed point k = 0 first appears as an output.
 
-    Raises LimitExceeded (with the blocks so far attached as ``partial``) if
-    k never hits 0 within max_blocks — which for any honest k0 just means
-    the budget was too small.
+    Raises DomainError for ``max_blocks < 1``, and LimitExceeded (with the
+    blocks so far attached as ``partial``) if k never hits 0 within
+    max_blocks — which for any honest k0 just means the budget was too small.
     """
+    if max_blocks < 1:
+        raise DomainError(f"max_blocks must be >= 1, got {max_blocks}")
     out: list[Block] = []
-    k = k0
-    while k != 0 or not out:
-        if len(out) >= max_blocks:
-            raise LimitExceeded(
-                f"no trivial block after {max_blocks} blocks from k0={k0}",
-                partial=BlockSequence(out),
-            )
-        b = make_block(k)
+    for b in islice(_blocks_from(k0), max_blocks):
         out.append(b)
-        k = b.k_out
-    return BlockSequence(out)
+        if b.k_out == 0:
+            return BlockSequence(out)
+    msg = f"no trivial block after {max_blocks} blocks from k0={k0}"
+    raise LimitExceeded(msg, partial=BlockSequence(out))
 
 
 State = tuple[int, int, int]
@@ -259,13 +261,11 @@ def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple
     ``decompose_until_trivial`` still gives the full walk.
     """
     floor = max(k0, 1)  # k0 = 0 stops after the trivial block (k_out = 0)
-    k = k0
     v = 4 * k0 + 2
     steps = 0
-    while True:
-        b = make_block(k)
+    for b in _blocks_from(k0):
         if steps + b.steps > step_limit:
-            return ("a block below the start within the step limit", f"still at k={k}")
+            return ("a block below the start within the step limit", f"still at k={b.k_in}")
         steps += b.steps
         if not recurrence_holds(b):
             return ("block recurrence balance", f"violated at {b}")
@@ -279,6 +279,5 @@ def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple
                 return (f"path residue {want} (mod 4)", f"{v} ~ {v & 3} (mod 4)")
             if i < len(path) - 1:
                 v = 3 * v + 1 if v & 1 else v >> 1
-        k = b.k_out
-        if k < floor:
+        if b.k_out < floor:
             return None

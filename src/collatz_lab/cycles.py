@@ -38,7 +38,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import START, State, block_state, decompose
+from .blocks import START, State, _blocks_from, block_state
 from .blocks import block_step as _extend  # a module global: one lookup in the search loop
 from .errors import DomainError, IdentityViolation
 from .sweeps import _fork_map, resolve_workers
@@ -83,12 +83,12 @@ def _fixed_point(state: State) -> Fraction:
 
 
 def _simulate(c: CycleCandidate, k0: int) -> bool:
-    """n real blocks from k0 must use exactly c's parameters and close."""
-    blocks = decompose(k0, c.n).blocks
-    for b, m, e in zip(blocks, c.m_seq, c.e_seq):
+    """n real blocks from k0 must use exactly c's parameters and close; the
+    walk, zipped last, makes no block past the first mismatch."""
+    for m, e, b in zip(c.m_seq, c.e_seq, _blocks_from(k0)):
         if b.m != m or b.e != e:
             return False
-    return blocks[-1].k_out == k0
+    return b.k_out == k0
 
 
 def _hit(pairs: Sequence[tuple[int, int]], k0: int) -> CycleSolution:

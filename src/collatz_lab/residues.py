@@ -140,6 +140,8 @@ class ClassSequence(NamedTuple):
 
 
 def class_sequence(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> ClassSequence:
+    if z < 1:
+        raise DomainError(f"class_sequence needs z >= 1, got {z}")
     traj = trajectory(z, step_limit)
     values = traj.values
     if len(values) > 1:

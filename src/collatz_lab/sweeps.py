@@ -90,12 +90,14 @@ def resolve_workers(requested: int | None = None) -> int:
     return requested
 
 
-def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[Counterexample]:
+def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[tuple[str, str, str]]:
+    """The rows of [lo, hi) as plain tuples, which pickle about 4x faster
+    than the Counterexample that ``run_sweep`` makes of each."""
     out = []
     for z in inputs(lo, hi):
         r = check(z)
         if r is not None:
-            out.append(Counterexample(str(z), str(r[0]), str(r[1])))
+            out.append((str(z), str(r[0]), str(r[1])))
     return out
 
 
@@ -270,7 +272,8 @@ def run_sweep(
     start = time.perf_counter()
     spans = _spans(lo, hi, 4 * w)
     parts = _fork_map(lambda span: _scan(check, inputs, *span), spans, w, _span_names)
-    rows = [row for part in parts for row in part]
+    new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
+    rows = [new(Counterexample, row) for part in parts for row in part]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,

@@ -142,6 +142,18 @@ def test_decompose_until_trivial():
     assert len(exc.value.partial.blocks) == 1
 
 
+def test_decompose_until_trivial_budget_edge():
+    n = len(decompose_until_trivial(7))
+    assert decompose_until_trivial(7, max_blocks=n) == decompose_until_trivial(7)
+    says = f"^no trivial block after {n - 1} blocks from k0=7$"
+    with pytest.raises(LimitExceeded, match=says) as exc:
+        decompose_until_trivial(7, max_blocks=n - 1)
+    assert len(exc.value.partial.blocks) == n - 1
+    for budget in (0, -1):
+        with pytest.raises(DomainError, match=f"^max_blocks must be >= 1, got {budget}$"):
+            decompose_until_trivial(7, max_blocks=budget)
+
+
 def test_verify_recurrence_passes():
     report = verify_recurrence(decompose(6, 5))
     assert report.passed and report.checked == 5

@@ -127,6 +127,11 @@ def test_delay_domain_message():
         delay(0)
 
 
+def test_class_sequence_domain_message():
+    with pytest.raises(DomainError, match=r"^class_sequence needs z >= 1, got 0$"):
+        class_sequence(0)
+
+
 @given(st.integers(min_value=2, max_value=20000))
 def test_glide_is_first_drop(n):
     g = glide(n)

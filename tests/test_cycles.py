@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import collatz_lab
 from collatz_lab import cli, cycles
-from collatz_lab.blocks import START, block_step, decompose
+from collatz_lab.blocks import START, block_step, decompose, make_block
 from collatz_lab.cycles import (
     CycleCandidate,
     _first_block_names,
@@ -121,6 +121,19 @@ def test_simulated_ok_implies_integral_nonneg(pairs):
         assert [b.m for b in blocks] == list(cand.m_seq)
         assert [b.e for b in blocks] == list(cand.e_seq)
         assert blocks[-1].k_out == sol.k0
+
+
+def test_simulate_stops_at_the_first_mismatched_block(monkeypatch):
+    calls = []
+
+    def counting(k_in):
+        calls.append(k_in)
+        return make_block(k_in)
+
+    monkeypatch.setattr("collatz_lab.blocks.make_block", counting)
+    # The real block at k = 0 is (m, e) = (0, 1), so the first block fails.
+    assert not cycles._simulate(CycleCandidate((5, 0, 0), (1, 1, 1)), 0)
+    assert calls == [0]
 
 
 @pytest.mark.parametrize("box", [(1, 1), (5, 5), (25, 25)])

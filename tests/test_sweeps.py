@@ -15,7 +15,7 @@ import collatz_lab
 from collatz_lab import beta_chain, blocks, cli, polyline, residues
 from collatz_lab.core import DEFAULT_STEP_LIMIT, glide
 from collatz_lab.errors import DomainError, IdentityViolation, SweepWorkerError
-from collatz_lab.report import export_report
+from collatz_lab.report import Counterexample, export_report
 from collatz_lab.sweeps import (
     SIEVE_MODULUS,
     _descent_steps,
@@ -171,6 +171,17 @@ def test_reports_match_at_one_two_and_three_workers(n):
     for sweep in sweeps:
         one, two, three = (_json_without_elapsed(sweep(workers=w)) for w in (1, 2, 3))
         assert one == two == three
+
+
+def test_a_failure_heavy_sweep_matches_across_workers():
+    # Thousands of rows cross the fork as plain tuples; each comes back a
+    # Counterexample of three str, and the report does not depend on w.
+    reports = [verify_convergence(20_000, 1, workers=w) for w in (1, 2, 3)]
+    rows = reports[0].counterexamples
+    assert len(rows) > 5000
+    assert all(type(c) is Counterexample and all(type(f) is str for f in c) for c in rows)
+    one, two, three = map(_json_without_elapsed, reports)
+    assert one == two == three
 
 
 def test_lambda_check_runs_on_two_workers():
