@@ -23,9 +23,10 @@ to
 so that after n blocks k_n = (T * k_0 + S) / P.  ``recurrence_holds``
 returns whether a real block balances one step, ``block_state`` folds the
 step over a checked parameter list, and the cycle search (``cycles``) over
-whole parameter boxes.  The step also makes sense for *formal* parameter
-lists (m_j, e_j) that need not come from a real trajectory, which is what
-the cycle search exploits.
+whole parameter boxes.  ``closing_blocks`` lists the last blocks that close
+a state, by a lemma derived from the step, without taking each step.  The
+step also makes sense for *formal* parameter lists (m_j, e_j) that need
+not come from a real trajectory, which is what the cycle search exploits.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .beta_chain import chain_path, chain_residues, solve_beta_chain, v2
 from .core import DEFAULT_STEP_LIMIT
-from .errors import DomainError, LimitExceeded
+from .errors import DomainError, IdentityViolation, LimitExceeded
 
 __all__ = [
     "Block",
@@ -47,6 +48,7 @@ __all__ = [
     "decompose_until_trivial",
     "block_step",
     "block_state",
+    "closing_blocks",
     "recurrence_holds",
     "verify_recurrence",
     "closed_form_k",
@@ -189,6 +191,70 @@ def block_step(state: State, m: int, e: int) -> State:
     p, t, s = state
     three = 3 ** (m + 1)
     return p << (e + m + 1), t * three, s * three + (three - (1 << m) - (1 << (e + m))) * p
+
+
+def _vanished(p: int) -> IdentityViolation:
+    return IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
+
+
+def closing_blocks(state: State, budget: int) -> Iterator[tuple[int, int, int]]:
+    """Every last block (m, e) with m + e <= budget that closes the state
+    at a non-negative integer: (m, e, k_0) in walk order, m then e, for
+    each (P', T', S') = ``block_step(state, m, e)`` with
+    ``divmod(S', P' - T') == (k_0, 0)`` and k_0 >= 0, without the steps.
+    The state's P and T must be positive.
+
+    The last-block lemma.  With a = 3^(m+1), b = 2^(m+1) and
+    D_e = P' - T' = b*P*2^e - T*a, the step gives
+    2*S' = 2*S*a + (2*a - b - b*2^e)*P, so
+
+        W = 2*S' + D_e = a*(2*S + 2*P - T) - b*P
+
+    does not depend on e.  k_0 = S'/D_e = (W/D_e - 1)/2 is an integer
+    >= 0 exactly when D_e divides W with an odd quotient >= 1, which needs
+    D_e of W's sign and |D_e| <= |W|: b*P*2^e between T*a + min(W, 0) and
+    T*a + max(W, 0).  D_e grows with e, so the e that can close form one
+    interval; its ends come from bit lengths, and each e in it gets the
+    exact test ``divmod(W, D_e)``.
+
+    The interval's low end never falls as m grows.  It is the least e with
+    2^e >= min(T*a, T*a + W) / (b*P) = min(T*r, 2*(S + P)*r - P) / P,
+    where r = a/b = (3/2)^(m+1): a bound that grows with m, or stays
+    negative, where the low end is 1.  So the m loop stops once that end
+    passes budget - m.  Raises IdentityViolation where a D_e is 0.
+    """
+    p, t, s = state
+    # T*a, a*(2S + 2P - T) and b*P at m = -1, each grown by one factor per m
+    ta, aq, bp = t, 2 * (s + p) - t, p
+    for m in range(budget):
+        ta *= 3
+        aq *= 3
+        bp <<= 1
+        w = aq - bp
+        # first: the least e >= 1 with b*P*2^e >= T*a + min(W, 0);
+        # last: the greatest e with b*P*2^e <= T*a + max(W, 0)
+        if w > 0:
+            first = ((ta - 1) // bp).bit_length() or 1
+            hi = ta + w
+        else:
+            lo = ta + w
+            first = ((lo - 1) // bp).bit_length() or 1 if lo > 1 else 1
+            hi = ta
+        room = budget - m
+        if first > room:
+            return
+        last = (hi // bp).bit_length() - 1
+        if last > room:
+            last = room
+        e = first
+        while e <= last:
+            d = (bp << e) - ta
+            if not d:
+                raise _vanished(bp << e)
+            k, r = divmod(w, d)
+            if not r and k > 0 and k & 1:
+                yield m, e, k >> 1
+            e += 1
 
 
 def block_state(m_seq: Sequence[int], e_seq: Sequence[int]) -> State:

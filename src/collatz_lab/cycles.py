@@ -18,12 +18,16 @@ closure here raises ``IdentityViolation`` where it would.  For one block:
     k' = (3^(m+1) - 2^m - 2^(e+m)) / (2^(e+m+1) - 3^(m+1)).
 
 ``search_cycles`` walks its parameter box exhaustively, depth first,
-extending the parent's state by one block per node.  A box large enough
+extending the parent's state by one block per node, except for the last
+blocks of a list: by the last-block lemma (``blocks.closing_blocks``) the
+e that can close a list under a given parent form one interval per m, so
+the walk tests only those and steps no other leaf.  A box large enough
 to repay a fork is walked on the fork engine of ``sweeps``, one first
 block per item; the solutions come back in walk order, so the result does
 not depend on the worker count.
 ``search_cycles_n1`` tests one e per m: for a single block only
-e = (3**(m+1)).bit_length() - m - 1 can give k' >= 0 (see there).
+e = (3**(m+1)).bit_length() - m - 1 can give k' >= 0 (see there), which
+is the lemma's case n = 1, from ``START``.
 
 A node whose integer division S / (P - T) is exact and non-negative is
 *simulated* against the genuine block decomposition; a formal solution that
@@ -38,9 +42,11 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import START, State, _blocks_from, block_state
-from .blocks import block_step as _extend  # a module global: one lookup in the search loop
-from .errors import DomainError, IdentityViolation
+from .blocks import START, State, _blocks_from, _vanished, block_state
+# module globals: one lookup each in the search loop
+from .blocks import block_step as _extend
+from .blocks import closing_blocks as _last_blocks
+from .errors import DomainError
 from .sweeps import _fork_map, resolve_workers
 
 __all__ = [
@@ -69,10 +75,6 @@ class CycleSolution(NamedTuple):
     is_integer: bool
     is_nonneg: bool
     simulated_ok: bool
-
-
-def _vanished(p: int) -> IdentityViolation:
-    return IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
 
 
 def _fixed_point(state: State) -> Fraction:
@@ -143,10 +145,12 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
 
 Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order
 
-# A fork round trip costs a few ms on a 2-vCPU host and a candidate about
-# 1 us, so the search gives each worker at least this many candidates and
-# walks a smaller box in this process alone.
-_MIN_SHARE = 10_000
+# On a 2-vCPU host, 2 workers were slower than 1 on every box measured
+# below 100,000 candidates, the benchmark's boxes among them (3 to 41 ms,
+# 0.1 to 0.9 us a candidate); (5, 16), 509,014 candidates and 0.32 s, took
+# 0.57x as long.  So the search gives each worker at least this many
+# candidates and walks a smaller box in this process alone.
+_MIN_SHARE = 50_000
 
 
 def _first_block_names(share: Blocks) -> str:
@@ -158,12 +162,15 @@ def _walk(
 ) -> list[CycleSolution]:
     """The solutions below first block ``first``, in walk order; ``pairs``
     is the table built by ``search_cycles``.  A node's depth is the length
-    of ``path``, the blocks above it."""
+    of ``path``, the blocks above it.  Each node is stepped and divided,
+    but a node at depth n_max - 2 takes only its closing children, the last
+    blocks, from ``blocks.closing_blocks``."""
     path: list[tuple[int, int]] = []
     found: list[CycleSolution] = []
 
     def walk(state: State, todo: Blocks, remaining: int) -> None:
         deeper = len(path) + 1 < n_max
+        leaves = len(path) + 2 == n_max  # the children of these nodes are last blocks
         for pair in todo:
             m, e = pair
             child = _extend(state, m, e)
@@ -177,7 +184,11 @@ def _walk(
             left = remaining - m - e
             if deeper and left:
                 path.append(pair)
-                walk(child, pairs[left], left)
+                if leaves:
+                    for last_m, last_e, k0 in _last_blocks(child, left):
+                        found.append(_hit(path + [(last_m, last_e)], k0))
+                else:
+                    walk(child, pairs[left], left)
                 path.pop()
 
     walk(START, [first], exp_budget)
@@ -192,8 +203,10 @@ def search_cycles(
 
     One depth-first walk visits every list of every length, in
     lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...);
-    each node extends its parent's state by one block.  Solutions come out
-    grouped by length, shortest first, each group in walk order.
+    each node extends its parent's state by one block, and a list of
+    n_max blocks ends in a last block from ``blocks.closing_blocks``, which
+    yields only the last blocks that close.  Solutions come out grouped by
+    length, shortest first, each group in walk order.
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of
@@ -207,10 +220,11 @@ def search_cycles(
     total = count_candidates(n_max, exp_budget)
     rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
     # pairs[left]: the blocks that fit in a budget of ``left``, in walk
-    # order, all sharing one tuple per block; only a walk below depth 0
-    # needs them, and forked workers inherit them.
+    # order, all sharing one tuple per block; only a walk with blocks
+    # between the first and the last needs them, and forked workers
+    # inherit them.
     pairs: list[Blocks] = []
-    if n_max > 1:
+    if n_max > 2:
         pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
     w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
     parts = _fork_map(

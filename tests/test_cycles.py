@@ -1,4 +1,5 @@
 import errno
+import inspect
 import os
 import signal
 import subprocess
@@ -13,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import collatz_lab
-from collatz_lab import cli, cycles
-from collatz_lab.blocks import START, block_step, decompose, make_block
+from collatz_lab import blocks, cli, cycles
+from collatz_lab.blocks import START, block_step, closing_blocks, decompose, make_block
 from collatz_lab.cycles import (
     CycleCandidate,
     _first_block_names,
@@ -249,6 +250,21 @@ def test_search_is_the_same_at_one_two_and_three_workers(n_max, budget):
     assert search_cycles(n_max, budget, workers=3) == one
 
 
+def _last_blocks_by_steps(step):
+    """The leaf rule as the walk had it before the last-block lemma: every
+    last block is stepped by ``step`` and divided."""
+
+    def last_blocks(state, budget):
+        for m in range(budget):
+            for e in range(1, budget - m + 1):
+                p, t, s = step(state, m, e)
+                q, r = divmod(s, p - t)
+                if not r and q >= 0:
+                    yield m, e, q
+
+    return last_blocks
+
+
 def _planted_hits_step(state, m, e):
     """The block step, but at every block with m + 2e divisible by 3 the
     state closes at k0 = m: hits in every worker's share, where the true
@@ -270,21 +286,26 @@ def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget,
             q, r = divmod(s, p - t)
             if not r and q >= 0:
                 expected.append((CycleCandidate(m_seq, e_seq), q))
+    # The walk steps every node but the last blocks, which it takes from
+    # the leaf rule, so the planted step goes into both.
     monkeypatch.setattr(cycles, "_extend", _planted_hits_step)
+    monkeypatch.setattr(cycles, "_last_blocks", _last_blocks_by_steps(_planted_hits_step))
     monkeypatch.setattr(cycles, "_simulate", lambda c, k0: False)
     for workers in (1, 2, 3):
         got = [(s.candidate, s.k0) for s in search_cycles(n_max, budget, workers=workers)]
         assert got == expected, workers
     assert len({c.m_seq[0] for c, _ in expected}) > 3
+    assert len([c for c, _ in expected if c.n == n_max]) > 3  # hits at the last depth
 
 
 @pytest.mark.parametrize(
     "box, workers, forks",
-    [((3, 19), 1, 0), ((3, 12), 2, 0), ((2, 28), 8, 1), ((3, 19), 3, 2), ((1, 200), 2, 1)],
+    [((3, 19), 1, 0), ((4, 15), 2, 0), ((2, 40), 8, 1), ((2, 45), 3, 2), ((2, 42), 2, 1)],
 )
 def test_each_search_worker_gets_at_least_a_min_share(box, workers, forks, monkeypatch):
-    # (3, 12) holds 6084 candidates, (2, 28) 27811, (3, 19) 80788 and
-    # (1, 200) 20100: a fork pays only above _MIN_SHARE = 10,000 per worker.
+    # (3, 19) holds 80788 candidates, (4, 15) 96646, (2, 40) 112750,
+    # (2, 42) 136654 and (2, 45) 179400: a fork pays only above
+    # _MIN_SHARE = 50,000 per worker.
     forked, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forked.append(None) or real_fork())
     search_cycles(*box, workers=workers)
@@ -321,6 +342,125 @@ def test_only_the_bit_length_e_closes_at_a_non_negative_point(m, e):
         assert e == (3 ** (m + 1)).bit_length() - m - 1
 
 
+# ---- the last-block lemma -------------------------------------------------
+
+
+def _leaf_closures(state, budget):
+    """Every last block within the budget, stepped and divided."""
+    return list(_last_blocks_by_steps(block_step)(state, budget))
+
+
+@given(
+    st.integers(min_value=0, max_value=60),
+    st.integers(min_value=0, max_value=40),
+    st.one_of(st.integers(min_value=-400, max_value=400), st.integers()),
+    st.integers(min_value=0, max_value=16),
+)
+def test_closing_blocks_equal_every_last_block_stepped_and_divided(i, j, s, budget):
+    # A formal state: P a power of 2, T a power of 3 and any S, negative
+    # ones included, so that W = 2S' + (P' - T') takes either sign.
+    state = (2**i, 3**j, s)
+    assert list(closing_blocks(state, budget)) == _leaf_closures(state, budget)
+    for m in range(budget):
+        ws = set()
+        for e in range(1, budget - m + 1):
+            p, t, s1 = block_step(state, m, e)
+            ws.add(2 * s1 + p - t)
+        assert len(ws) == 1
+
+
+def test_closing_blocks_on_a_grid_of_small_states():
+    # Small states close often: 873 last blocks, 373 of them with W < 0,
+    # where D_e = P' - T', which has W's sign, is negative.  With an odd T,
+    # D_e and W are odd, so a quotient W / D_e is odd; the states with T of
+    # 10 or 20, whose 5 keeps D_e from 0, also have even quotients to reject.
+    powers = [(2**i, 3**j) for i in range(6) for j in range(5)]
+    others = [(p, t) for p in range(1, 7) for t in (5, 10, 20)]
+    states = [(p, t, s) for p, t in powers + others for s in range(-60, 61)]
+    got = {state: list(closing_blocks(state, 8)) for state in states}
+    assert got == {state: _leaf_closures(state, 8) for state in states}
+    formal = [(s, m, e) for s, found in got.items() if s[:2] in powers for m, e, _ in found]
+    negative = [(s, m, e) for s, m, e in formal if block_step(s, m, e)[0] < block_step(s, m, e)[1]]
+    assert (len(formal), len(negative)) == (873, 373)
+
+
+def test_closing_blocks_from_the_start_are_the_single_block_solutions():
+    # The single-block lemma is the last-block lemma's case n = 1.
+    budget = 400
+    single = [(s.candidate.m_seq[0], s.candidate.e_seq[0], s.k0) for s in search_cycles_n1(budget, budget)]
+    within = [block for block in single if block[0] + block[1] <= budget]
+    assert list(closing_blocks(START, budget)) == within == [(0, 1, 0)]
+
+
+def test_a_vanishing_last_block_raises():
+    # 3 * 2^(0+1) * 2^1 == 4 * 3^(0+1): the interval holds e = 1, D_1 = 0.
+    with pytest.raises(IdentityViolation, match="^a power of 2 equalled a power of 3: 12$"):
+        list(closing_blocks((3, 4, 1), 1))
+
+
+def _walk_every_leaf(n_max, exp_budget, pairs, first):
+    """cycles._walk as it was before the last-block lemma: every node, each
+    leaf included, is stepped by ``blocks.block_step`` and divided."""
+    path, found = [], []
+
+    def walk(state, todo, remaining):
+        deeper = len(path) + 1 < n_max
+        for pair in todo:
+            m, e = pair
+            child = blocks.block_step(state, m, e)
+            p, t, s = child
+            q, r = divmod(s, p - t)
+            if not r and q >= 0:
+                found.append(cycles._hit(path + [pair], q))
+            left = remaining - m - e
+            if deeper and left:
+                path.append(pair)
+                walk(child, pairs[left], left)
+                path.pop()
+
+    walk(START, [first], exp_budget)
+    return found
+
+
+@cache
+def _search_every_leaf(n_max, exp_budget):
+    """search_cycles on one worker before the last-block lemma."""
+    rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
+    pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
+    found = [
+        sol
+        for row in rows
+        for first in row
+        for sol in _walk_every_leaf(n_max, exp_budget, pairs, first)
+    ]
+    return sorted(found, key=lambda sol: sol.candidate.n)
+
+
+@pytest.mark.usefixtures("split_any_box")
+@pytest.mark.parametrize(
+    "n_max,budget", [(4, 15), (3, 19), (4, 13), (2, 28), (5, 11), (5, 16), (2, 40)]
+)
+def test_search_equals_the_walk_over_every_leaf(n_max, budget):
+    # The benchmark's cycle-search boxes, and two wider ones.
+    expected = _search_every_leaf(n_max, budget)
+    assert len(expected) == n_max
+    for workers in (1, 2, 3):
+        assert search_cycles(n_max, budget, workers=workers) == expected, workers
+
+
+def test_a_wrong_c_in_the_leaf_rule_loses_a_known_solution(monkeypatch):
+    # W = a*(2S + 2P - T) - b*P with b*P for c's 2^m term doubled, as from
+    # c = 3^(m+1) - 2^(m+1) - 2^(e+m): the same leaf rule with a wrong c.
+    source = inspect.getsource(closing_blocks)
+    assert source.count("w = aq - bp\n") == 1
+    namespace = dict(vars(blocks))
+    exec(source.replace("w = aq - bp\n", "w = aq - 2 * bp\n"), namespace)
+    monkeypatch.setattr(cycles, "_last_blocks", namespace["closing_blocks"])
+    found = [s.candidate for s in search_cycles(3, 12, workers=1)]
+    assert CycleCandidate((0, 0, 0), (1, 1, 1)) not in found
+    assert found != [s.candidate for s in _search_every_leaf(3, 12)]
+
+
 def _planted_step(action, at, in_child=True, parent=os.getpid()):
     """A block step that runs ``action`` when the walk extends the start by
     first block ``at``, only in a forked worker (or, with ``in_child=False``,
@@ -332,6 +472,36 @@ def _planted_step(action, at, in_child=True, parent=os.getpid()):
         return block_step(state, m, e)
 
     return step
+
+
+def _planted_last_blocks(action, in_child=True, parent=os.getpid()):
+    """``closing_blocks``, but running ``action`` whenever the walk takes a
+    node's last blocks, only in a forked worker (or, with
+    ``in_child=False``, only in the test process)."""
+
+    def last_blocks(state, budget):
+        if (os.getpid() != parent) == in_child:
+            action()
+        return closing_blocks(state, budget)
+
+    return last_blocks
+
+
+def _plant_at_first_block(patch, action, at, in_child=True):
+    planted = _planted_step(action, at, in_child)
+    patch.setattr(cycles, "_extend", planted)
+    return planted
+
+
+def _plant_at_last_depth(patch, action, at, in_child=True):
+    planted = _planted_last_blocks(action, in_child)
+    patch.setattr(cycles, "_last_blocks", planted)
+    return planted
+
+
+# A fault where the walk extends the start by a given first block, and one
+# where it takes last blocks: the two ways the walk reaches a node.
+_PLANTS = (_plant_at_first_block, _plant_at_last_depth)
 
 
 def _raise(exc):
@@ -357,35 +527,41 @@ _CHILD_SHARE = _firsts(12)[1::2]
 )
 @pytest.mark.usefixtures("split_any_box")
 def test_crashed_search_worker_names_its_first_blocks(action, says, monkeypatch):
-    monkeypatch.setattr(cycles, "_extend", _planted_step(action, _CHILD_SHARE[1]))
-    with pytest.raises(SweepWorkerError) as info:
-        search_cycles(3, 12, workers=2)
-    blocks = ", ".join(map(str, _CHILD_SHARE))
-    assert str(info.value) == f"the worker for first blocks (m, e) {blocks} {says}"
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    share = ", ".join(map(str, _CHILD_SHARE))
+    for plant in _PLANTS:
+        with monkeypatch.context() as patch:
+            plant(patch, action, _CHILD_SHARE[1])
+            with pytest.raises(SweepWorkerError) as info:
+                search_cycles(3, 12, workers=2)
+        assert str(info.value) == f"the worker for first blocks (m, e) {share} {says}", plant
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.usefixtures("split_any_box")
 def test_crashed_search_worker_fails_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(cycles, "_extend", _planted_step(partial(os._exit, 3), _CHILD_SHARE[0]))
-    assert cli.run(["cycles", "search", "--n-max", "3", "--budget", "12"]) == 1
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"error: the worker for {_first_block_names(_CHILD_SHARE)} exited with status 3\n"
+    for plant in _PLANTS:
+        with monkeypatch.context() as patch:
+            plant(patch, partial(os._exit, 3), _CHILD_SHARE[0])
+            assert cli.run(["cycles", "search", "--n-max", "3", "--budget", "12"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: the worker for {_first_block_names(_CHILD_SHARE)} exited with status 3\n"
 
 
 @pytest.mark.usefixtures("split_any_box")
 def test_search_worker_exception_keeps_its_type(monkeypatch):
-    planted = _planted_step(partial(_raise, IdentityViolation("planted")), _CHILD_SHARE[-1])
-    monkeypatch.setattr(cycles, "_extend", planted)
-    with pytest.raises(IdentityViolation, match="^planted$") as info:
-        search_cycles(3, 12, workers=2)
-    # the cause names the child's first blocks and carries its traceback
-    assert isinstance(info.value.__cause__, SweepWorkerError)
-    assert _first_block_names(_CHILD_SHARE) in str(info.value.__cause__)
-    assert "in step" in str(info.value.__cause__)
+    for plant in _PLANTS:
+        with monkeypatch.context() as patch:
+            action = partial(_raise, IdentityViolation("planted"))
+            planted = plant(patch, action, _CHILD_SHARE[-1])
+            with pytest.raises(IdentityViolation, match="^planted$") as info:
+                search_cycles(3, 12, workers=2)
+        # the cause names the child's first blocks and carries its traceback
+        assert isinstance(info.value.__cause__, SweepWorkerError)
+        assert _first_block_names(_CHILD_SHARE) in str(info.value.__cause__)
+        assert f"in {planted.__name__}" in str(info.value.__cause__)
 
 
 # At three workers the first child starts with this first block, and the
@@ -406,11 +582,13 @@ _FIRST_CHILD_BLOCK = _firsts(19)[1]
 )
 @pytest.mark.usefixtures("split_any_box")
 def test_no_worker_outlives_a_failed_search(action, at, in_child, raises, monkeypatch):
-    monkeypatch.setattr(cycles, "_extend", _planted_step(action, at, in_child))
-    with pytest.raises(raises):
-        search_cycles(3, 19, workers=3)
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
+    for plant in _PLANTS:
+        with monkeypatch.context() as patch:
+            plant(patch, action, at, in_child)
+            with pytest.raises(raises):
+                search_cycles(3, 19, workers=3)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.mark.usefixtures("split_any_box")
@@ -448,14 +626,20 @@ def test_planted_simulation_fault_surfaces(monkeypatch, capsys):
 
 def test_vanishing_closure_raises_under_optimize():
     # The walks step by cycles._extend, the closures by blocks.block_step.
+    # The last blocks of a node come from blocks.closing_blocks: from the
+    # state (3, 4, 1), block (0, 1) gives P' = 3 * 4 = T' = 4 * 3.
     code = (
         "import collatz_lab.blocks as B, collatz_lab.cycles as C\n"
         "from collatz_lab.errors import IdentityViolation\n"
-        "C._extend = B.block_step = lambda state, m, e: (8, 8, 1)\n"
-        "for call in (lambda: C.cycle_k_n1(0, 1),\n"
-        "             lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,))),\n"
-        "             lambda: C.search_cycles(1, 1, workers=1),\n"
-        "             lambda: C.search_cycles_n1(1, 1)):\n"
+        "vanish = lambda state, m, e: (8, 8, 1)\n"
+        "last_vanishes = lambda state, m, e: (3, 4, 1)\n"
+        "for step, call in ((vanish, lambda: C.cycle_k_n1(0, 1)),\n"
+        "    (vanish, lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,)))),\n"
+        "    (vanish, lambda: C.search_cycles(1, 1, workers=1)),\n"
+        "    (vanish, lambda: C.search_cycles(3, 3, workers=1)),\n"
+        "    (vanish, lambda: C.search_cycles_n1(1, 1)),\n"
+        "    (last_vanishes, lambda: C.search_cycles(2, 2, workers=1))):\n"
+        "    C._extend = B.block_step = step\n"
         "    try:\n"
         "        call()\n"
         "    except IdentityViolation:\n"
@@ -467,4 +651,4 @@ def test_vanishing_closure_raises_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n" * 4
+    assert proc.stdout == "raised\n" * 6
