@@ -17,22 +17,20 @@ closure here raises ``IdentityViolation`` where it would.  For one block:
 
     k' = (3^(m+1) - 2^m - 2^(e+m)) / (2^(e+m+1) - 3^(m+1)).
 
-``search_cycles`` walks its parameter box exhaustively, depth first,
-extending the parent's state by one block per node, except for the last
-blocks of a list: by the last-block lemma (``blocks.closing_blocks``) the
-e that can close a list under a given parent form one interval per m, so
-the walk tests only those and steps no other leaf.  A box large enough
-to repay a fork is walked on the fork engine of ``sweeps``, one first
-block per item; the solutions come back in walk order, so the result does
-not depend on the worker count.
-``search_cycles_n1`` tests one e per m: for a single block only
-e = (3**(m+1)).bit_length() - m - 1 can give k' >= 0 (see there), which
-is the lemma's case n = 1, from ``START``.
+``search_cycles`` walks its parameter box exhaustively, depth first.  A
+node is a list of blocks with its state and the budget left.  It takes
+its closing children, the lists one block longer that close, from the
+last-block lemma (``blocks.closing_blocks``), which tests only the e that
+can close under the node's state, and it steps only the children that
+leave room for one more block.  A box large enough to repay a fork is
+walked on the fork engine of ``sweeps``, one first block per item; the
+solutions come back in walk order, so the result does not depend on the
+worker count.  ``search_cycles_n1`` is the lemma's case n = 1: the
+closing blocks of ``START`` that fall in its box.
 
-A node whose integer division S / (P - T) is exact and non-negative is
-*simulated* against the genuine block decomposition; a formal solution that
-the map itself does not follow is returned with simulated_ok=False rather
-than silently dropped.
+A closing list is *simulated* against the genuine block decomposition; a
+formal solution that the map itself does not follow is returned with
+simulated_ok=False rather than silently dropped.
 """
 
 from __future__ import annotations
@@ -133,14 +131,15 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     - c <= 0 > d gives 2^(e+m+1) < 3^(m+1) <= 2^m + 2^(e+m) <= 1.5 * 2^(e+m)
       since e >= 1, which is impossible.
 
-    So each m is tested only at e = (3**(m+1)).bit_length() - m - 1, which
-    is at least 1 since 3^(m+1) > 2^(m+1): m_max + 1 divisions in place of
-    (m_max + 1) * e_max, each by ``_walk`` over that one block.
+    So e + m + 1 <= 2m + 2, as 3^(m+1) < 4^(m+1), and a block of the box
+    that closes fits the budget below.  ``blocks.closing_blocks(START, ...)``,
+    the last-block lemma's case n = 1, tests that one e per m, and the
+    budget ends its m loop near 1.26 * m_max however large e_max is.
     """
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
-    blocks = [(m, (3 ** (m + 1)).bit_length() - m - 1) for m in range(m_max + 1)]
-    return [s for m, e in blocks if e <= e_max for s in _walk(1, m + e, [], (m, e))]
+    blocks = _last_blocks(START, m_max + min(e_max, m_max + 1))
+    return [_hit([(m, e)], k0) for m, e, k0 in blocks if m <= m_max and e <= e_max]
 
 
 Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order
@@ -160,38 +159,26 @@ def _first_block_names(share: Blocks) -> str:
 def _walk(
     n_max: int, exp_budget: int, pairs: list[Blocks], first: tuple[int, int]
 ) -> list[CycleSolution]:
-    """The solutions below first block ``first``, in walk order; ``pairs``
-    is the table built by ``search_cycles``.  A node's depth is the length
-    of ``path``, the blocks above it.  Each node is stepped and divided,
-    but a node at depth n_max - 2 takes only its closing children, the last
-    blocks, from ``blocks.closing_blocks``."""
-    path: list[tuple[int, int]] = []
+    """The solutions that start with block ``first``, in walk order;
+    ``pairs`` is the table built by ``search_cycles``.  A node's depth is
+    the length of ``path``, its blocks.  Each node appends its closing
+    children from ``blocks.closing_blocks`` and, above depth n_max - 1,
+    steps the children that leave room for one more block."""
+    path = [first]
     found: list[CycleSolution] = []
 
-    def walk(state: State, todo: Blocks, remaining: int) -> None:
-        deeper = len(path) + 1 < n_max
-        leaves = len(path) + 2 == n_max  # the children of these nodes are last blocks
-        for pair in todo:
-            m, e = pair
-            child = _extend(state, m, e)
-            p, t, s = child
-            try:
-                q, r = divmod(s, p - t)
-            except ZeroDivisionError:
-                raise _vanished(p) from None
-            if not r and q >= 0:
-                found.append(_hit(path + [pair], q))
-            left = remaining - m - e
-            if deeper and left:
+    def walk(state: State, remaining: int) -> None:
+        for m, e, k0 in _last_blocks(state, remaining):
+            found.append(_hit(path + [(m, e)], k0))
+        if len(path) + 1 < n_max:
+            for pair in pairs[remaining]:
+                m, e = pair
                 path.append(pair)
-                if leaves:
-                    for last_m, last_e, k0 in _last_blocks(child, left):
-                        found.append(_hit(path + [(last_m, last_e)], k0))
-                else:
-                    walk(child, pairs[left], left)
+                walk(_extend(state, m, e), remaining - m - e)
                 path.pop()
 
-    walk(START, [first], exp_budget)
+    m, e = first
+    walk(_extend(START, m, e), exp_budget - m - e)
     return found
 
 
@@ -202,30 +189,36 @@ def search_cycles(
     sum(m) + sum(e) <= exp_budget; same filtering as search_cycles_n1.
 
     One depth-first walk visits every list of every length, in
-    lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...);
-    each node extends its parent's state by one block, and a list of
-    n_max blocks ends in a last block from ``blocks.closing_blocks``, which
-    yields only the last blocks that close.  Solutions come out grouped by
-    length, shortest first, each group in walk order.
+    lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...).
+    Each node takes the lists one block longer that close from
+    ``blocks.closing_blocks`` and steps only the children that leave room
+    for another block; the closing blocks of ``START`` are the solutions of
+    length 1.
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of
     ``sweeps``: with w workers, worker i walks first blocks i, i + w, ...,
     this process being worker 0.  Each worker gets at least ``_MIN_SHARE``
-    candidates, so a small box forks nothing.  The engine returns each first
-    block's solutions in first-block order, which is walk order, and one
-    stable sort by length groups them, so the result is the same for any
-    worker count.  Raises ``SweepWorkerError`` when a child crashes.
+    candidates, so a small box forks nothing.  The engine returns each
+    first block's solutions in walk order.  Each length's solutions come
+    from nodes of one depth, so one stable sort by length groups them
+    shortest first, each group in walk order, for any worker count.
+    Raises ``SweepWorkerError`` when a child crashes.
     """
     total = count_candidates(n_max, exp_budget)
-    rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
-    # pairs[left]: the blocks that fit in a budget of ``left``, in walk
-    # order, all sharing one tuple per block; only a walk with blocks
-    # between the first and the last needs them, and forked workers
-    # inherit them.
+    # rows[m]: the first blocks (m, e) in walk order; no walk lies below one if n_max = 1
+    rows: list[Blocks] = []
+    if n_max > 1:
+        rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
+    # pairs[r]: the blocks that a node with a budget of r left steps, those
+    # that leave room for a last block (m + e < r), in walk order, all
+    # sharing one tuple per block; only a walk with blocks between the
+    # first and the last needs them, and forked workers inherit them.
     pairs: list[Blocks] = []
     if n_max > 2:
-        pairs = [[p for m in range(r) for p in rows[m][: r - m]] for r in range(exp_budget)]
+        pairs = [
+            [p for m in range(r - 1) for p in rows[m][: r - 1 - m]] for r in range(exp_budget)
+        ]
     w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
     parts = _fork_map(
         partial(_walk, n_max, exp_budget, pairs),
@@ -233,7 +226,9 @@ def search_cycles(
         w,
         _first_block_names,
     )
-    return sorted((sol for part in parts for sol in part), key=lambda sol: sol.candidate.n)
+    singles = [_hit([(m, e)], k0) for m, e, k0 in _last_blocks(START, exp_budget)]
+    found = singles + [sol for part in parts for sol in part]
+    return sorted(found, key=lambda sol: sol.candidate.n)
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:

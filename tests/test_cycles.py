@@ -286,8 +286,9 @@ def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget,
             q, r = divmod(s, p - t)
             if not r and q >= 0:
                 expected.append((CycleCandidate(m_seq, e_seq), q))
-    # The walk steps every node but the last blocks, which it takes from
-    # the leaf rule, so the planted step goes into both.
+    # The walk takes every closure from the leaf rule and steps only the
+    # nodes that leave room for one more block, so the planted step goes
+    # into both.
     monkeypatch.setattr(cycles, "_extend", _planted_hits_step)
     monkeypatch.setattr(cycles, "_last_blocks", _last_blocks_by_steps(_planted_hits_step))
     monkeypatch.setattr(cycles, "_simulate", lambda c, k0: False)
@@ -300,12 +301,20 @@ def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget,
 
 @pytest.mark.parametrize(
     "box, workers, forks",
-    [((3, 19), 1, 0), ((4, 15), 2, 0), ((2, 40), 8, 1), ((2, 45), 3, 2), ((2, 42), 2, 1)],
+    [
+        ((3, 19), 1, 0),
+        ((4, 15), 2, 0),
+        ((2, 40), 8, 1),
+        ((2, 45), 3, 2),
+        ((2, 42), 2, 1),
+        ((1, 447), 2, 0),
+    ],
 )
 def test_each_search_worker_gets_at_least_a_min_share(box, workers, forks, monkeypatch):
     # (3, 19) holds 80788 candidates, (4, 15) 96646, (2, 40) 112750,
     # (2, 42) 136654 and (2, 45) 179400: a fork pays only above
-    # _MIN_SHARE = 50,000 per worker.
+    # _MIN_SHARE = 50,000 per worker.  (1, 447) holds 100128, but single
+    # blocks are the closing blocks of the start, which need no walk.
     forked, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forked.append(None) or real_fork())
     search_cycles(*box, workers=workers)
@@ -333,6 +342,31 @@ def test_n1_closed_form_equals_the_e_loop(box):
 @given(st.integers(min_value=1, max_value=120), st.integers(min_value=1, max_value=120))
 def test_n1_closed_form_equals_the_e_loop_on_any_box(m_max, e_max):
     assert search_cycles_n1(m_max, e_max) == _n1_by_e_loop(m_max, e_max)
+
+
+def test_n1_stops_near_m_max_whatever_e_max():
+    # A budget of m_max + e_max would run the lemma's m loop to about
+    # 630,000, on numbers of about 10^6 bits.
+    assert [s.candidate for s in search_cycles_n1(2, 10**6)] == [CycleCandidate((0,), (1,))]
+
+
+@pytest.mark.parametrize("box", [(40, 40), (40, 10)])
+def test_n1_keeps_every_block_the_lemma_allows(box, monkeypatch):
+    # A closure planted at the one e per m that the single-block lemma
+    # allows: a budget too small for some of them would lose a hit.
+    def e_of(m):
+        return (3 ** (m + 1)).bit_length() - m - 1
+
+    def step(state, m, e):
+        p, t, s = block_step(state, m, e)
+        return (p, t, (p - t) * m) if e == e_of(m) else (p, t, s)
+
+    monkeypatch.setattr(cycles, "_last_blocks", _last_blocks_by_steps(step))
+    m_max, e_max = box
+    got = [(s.candidate, s.k0) for s in search_cycles_n1(m_max, e_max)]
+    want = [m for m in range(m_max + 1) if e_of(m) <= e_max]
+    assert got == [(CycleCandidate((m,), (e_of(m),)), m) for m in want]
+    assert len(want) > 10
 
 
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=300))
@@ -438,10 +472,11 @@ def _search_every_leaf(n_max, exp_budget):
 
 @pytest.mark.usefixtures("split_any_box")
 @pytest.mark.parametrize(
-    "n_max,budget", [(4, 15), (3, 19), (4, 13), (2, 28), (5, 11), (5, 16), (2, 40)]
+    "n_max,budget", [(4, 15), (3, 19), (4, 13), (2, 28), (5, 11), (5, 16), (2, 40), (1, 120)]
 )
 def test_search_equals_the_walk_over_every_leaf(n_max, budget):
-    # The benchmark's cycle-search boxes, and two wider ones.
+    # The benchmark's cycle-search boxes, two wider ones and one of single
+    # blocks.
     expected = _search_every_leaf(n_max, budget)
     assert len(expected) == n_max
     for workers in (1, 2, 3):
@@ -626,20 +661,22 @@ def test_planted_simulation_fault_surfaces(monkeypatch, capsys):
 
 def test_vanishing_closure_raises_under_optimize():
     # The walks step by cycles._extend, the closures by blocks.block_step.
-    # The last blocks of a node come from blocks.closing_blocks: from the
-    # state (3, 4, 1), block (0, 1) gives P' = 3 * 4 = T' = 4 * 3.
+    # The searches take every closure from blocks.closing_blocks: from the
+    # state (3, 4, 1), block (0, 1) gives P' = 3 * 4 = T' = 4 * 3.  So the
+    # searches start there, or step there.
     code = (
         "import collatz_lab.blocks as B, collatz_lab.cycles as C\n"
         "from collatz_lab.errors import IdentityViolation\n"
         "vanish = lambda state, m, e: (8, 8, 1)\n"
         "last_vanishes = lambda state, m, e: (3, 4, 1)\n"
-        "for step, call in ((vanish, lambda: C.cycle_k_n1(0, 1)),\n"
-        "    (vanish, lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,)))),\n"
-        "    (vanish, lambda: C.search_cycles(1, 1, workers=1)),\n"
-        "    (vanish, lambda: C.search_cycles(3, 3, workers=1)),\n"
-        "    (vanish, lambda: C.search_cycles_n1(1, 1)),\n"
-        "    (last_vanishes, lambda: C.search_cycles(2, 2, workers=1))):\n"
+        "for step, start, call in ((vanish, B.START, lambda: C.cycle_k_n1(0, 1)),\n"
+        "    (vanish, B.START, lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,)))),\n"
+        "    (B.block_step, (3, 4, 1), lambda: C.search_cycles(1, 1, workers=1)),\n"
+        "    (last_vanishes, B.START, lambda: C.search_cycles(3, 3, workers=1)),\n"
+        "    (B.block_step, (3, 4, 1), lambda: C.search_cycles_n1(1, 1)),\n"
+        "    (last_vanishes, B.START, lambda: C.search_cycles(2, 2, workers=1))):\n"
         "    C._extend = B.block_step = step\n"
+        "    C.START = start\n"
         "    try:\n"
         "        call()\n"
         "    except IdentityViolation:\n"
