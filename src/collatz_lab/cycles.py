@@ -144,16 +144,16 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
 
 Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order
 
-# On a 2-vCPU host, 2 workers were slower than 1 on every box measured
-# below 100,000 candidates, the benchmark's boxes among them (3 to 41 ms,
-# 0.1 to 0.9 us a candidate); (5, 16), 509,014 candidates and 0.32 s, took
-# 0.57x as long.  So the search gives each worker at least this many
-# candidates and walks a smaller box in this process alone.
+# A candidate costs 0.1 to 0.9 us and a fork about 2 ms.  On a 2-vCPU host
+# 2 workers have lost to 1 on every box below 100,000 candidates on one
+# day, and beaten it from 80,788 candidates up on another; (5, 16), 509,014
+# candidates, gains every time.  So the search gives each worker at least
+# this many candidates and walks a smaller box in this process alone.
 _MIN_SHARE = 50_000
 
 
-def _first_block_names(share: Blocks) -> str:
-    return "first blocks (m, e) " + ", ".join(map(str, share))
+def _first_block_names(claimed: Blocks) -> str:
+    return "first blocks (m, e) " + ", ".join(map(str, claimed))
 
 
 def _walk(
@@ -197,13 +197,16 @@ def search_cycles(
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of
-    ``sweeps``: with w workers, worker i walks first blocks i, i + w, ...,
-    this process being worker 0.  Each worker gets at least ``_MIN_SHARE``
-    candidates, so a small box forks nothing.  The engine returns each
-    first block's solutions in walk order.  Each length's solutions come
-    from nodes of one depth, so one stable sort by length groups them
-    shortest first, each group in walk order, for any worker count.
-    Raises ``SweepWorkerError`` when a child crashes.
+    ``sweeps``: with w workers, worker i walks first block i, and then
+    every worker, this process being worker 0, claims the next first block
+    not yet walked, so a worker that falls behind walks fewer.  There are
+    no more workers than one per ``_MIN_SHARE`` candidates, so a small box
+    forks nothing.  The engine returns each first block's solutions in
+    walk order, whoever walked it.  Each length's solutions come from nodes
+    of one depth, so one stable sort by length groups them shortest first,
+    each group in walk order, for any worker count.  Raises
+    ``SweepWorkerError`` when a child crashes, naming the first blocks it
+    claimed, the one it failed in last.
     """
     total = count_candidates(n_max, exp_budget)
     # rows[m]: the first blocks (m, e) in walk order; no walk lies below one if n_max = 1

@@ -39,6 +39,7 @@ class IdentityViolation(CollatzLabError):
 
 class SweepWorkerError(CollatzLabError):
     """A worker process of a sweep or of the cycle search crashed, died by
-    a signal or sent back a short or unpicklable result.  The message names
-    the worker's share (a sweep's spans, or the search's first blocks), so
-    neither ends in a partial report or result."""
+    a signal or sent back a short or unpicklable result, so neither ends in
+    a partial report or result.  The message names the items the worker
+    claimed (a sweep's spans, or the search's first blocks) in claim order,
+    the one it failed in last."""

@@ -1,20 +1,26 @@
 """Range sweeps: run a per-input check over an integer range, in parallel;
 and the fork engine that runs them and the cycle search.
 
-The engine, ``_fork_map``, is a map over items, dealt round-robin, results
-in item order: on w workers, no more than there are items, worker i runs
-items i, i + w, i + 2w, ..., its share.  The calling process is worker 0.
-A child forked with ``os.fork`` when the call is made is each other worker,
-so it inherits the function, its data and any monkeypatched function as
-they stand at that moment: nothing is pickled on the way in.  Each child
-pickles its share's results into its own pipe and leaves by ``os._exit``,
-so no ``atexit`` handler runs and no inherited buffer is flushed twice.
-One worker, or a platform without ``os.fork``, forks nothing.
+The engine, ``_fork_map``, is a map over items whose workers claim them,
+results in item order.  On w workers, no more than there are items, worker i
+first runs item i; after that every worker claims the next unclaimed items
+from one pipe until it is empty, so a worker that falls behind runs fewer
+items instead of holding up the call.  The calling process is worker 0.  A
+child forked with ``os.fork`` when the call is made is each other worker, so
+it inherits the function, its data and any monkeypatched function as they
+stand at that moment: nothing is pickled on the way in.  Each child writes
+the index of each item it claims to its own pipe before it runs the item,
+then pickles its results into the same pipe and leaves by ``os._exit``, so
+no ``atexit`` handler runs and no inherited buffer is flushed twice.  The
+parent puts every result back at its item's place, so the output does not
+depend on which worker ran what.  One worker, or a platform without
+``os.fork``, forks nothing and makes no pipe.
 
 A child that exits non-zero, dies by a signal or sends a short payload
-makes the call raise ``SweepWorkerError`` naming the child's share and its
-exit status or signal.  An exception raised in a child is raised again in
-the parent with its own type and message, or as a ``SweepWorkerError``
+makes the call raise ``SweepWorkerError`` naming the items the child
+claimed, in claim order, so the item it failed in is the last named, and
+its exit status or signal.  An exception raised in a child is raised again
+in the parent with its own type and message, or as a ``SweepWorkerError``
 carrying its repr when it cannot be pickled.  Whatever ends the call, an
 exception or an interrupt included, every child is killed and reaped before
 it returns or raises, and no partial result is made.  Fork copies only the
@@ -22,11 +28,11 @@ calling thread, so do not run a parallel sweep or search from a process
 that runs other threads (Python 3.12 and later warn).
 
 Each sweep takes a pure check function z -> None | (expected, actual) and
-scans a contiguous range.  With w workers the range is cut into 4*w
-contiguous spans, the engine's items, and the errors of a child name its
-spans.  The rows come back in span order, so the counterexample list is
-sorted by input and the report is byte-identical for any worker count: the
-worker count is a throughput knob, never a semantics knob.
+scans a contiguous range.  With w workers the range is cut into 16*w
+contiguous spans, the engine's items, and the errors of a child name the
+spans it claimed.  The rows come back in span order, so the counterexample
+list is sorted by input and the report is byte-identical for any worker
+count: the worker count is a throughput knob, never a semantics knob.
 ``cycles.search_cycles`` maps its walk over first blocks the same way; see
 there.
 
@@ -101,10 +107,16 @@ def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[tuple[str,
     return out
 
 
+# run_sweep cuts its range into this many spans per worker: enough that a
+# worker that falls behind leaves its unclaimed spans to the others, few
+# enough that the claims and each span's own pickled rows cost little.
+_SPANS_PER_WORKER = 16
+
+
 def _spans(lo: int, hi: int, pieces: int) -> list[Span]:
     total = hi - lo
-    pieces = max(1, min(pieces, total))
-    width, leftover = divmod(total, pieces)
+    pieces = min(pieces, total)
+    width, leftover = divmod(total, max(pieces, 1))
     spans = []
     at = lo
     for i in range(pieces):
@@ -114,12 +126,20 @@ def _spans(lo: int, hi: int, pieces: int) -> list[Span]:
     return spans
 
 
-# Each child's payload is its length in this many bytes, then the pickle.
+def _span_names(spans: list[Span]) -> str:
+    return "spans " + ", ".join(f"[{a}, {b})" for a, b in spans)
+
+
+# Each index that a child sends and each claim token is this many bytes,
+# little-endian.  A token names a run of items: the parent writes at most
+# _MAX_TOKENS of them (4,096 bytes, one page) to a new pipe in one write,
+# which fits in the pipe's buffer, so it never waits for a reader.
+_INDEX = 4
+_MAX_TOKENS = 1024
+# Ends a child's indices; its payload follows: its length in _HEADER bytes,
+# then the pickle.
+_END = b"\xff" * _INDEX
 _HEADER = 8
-
-
-def _span_names(share: list[Span]) -> str:
-    return "spans " + ", ".join(f"[{a}, {b})" for a, b in share)
 
 
 def _portable_error(exc: BaseException, who: str) -> tuple[BaseException, str]:
@@ -136,15 +156,27 @@ def _portable_error(exc: BaseException, who: str) -> tuple[BaseException, str]:
     return exc, trace
 
 
+def _claims(first: int, fd: int, runs: list[range]) -> Iterable[int]:
+    """Item index ``first``, then the indices of each run whose token this
+    worker reads from the claim pipe ``fd``, until the pipe is empty.  A
+    read of one token from a pipe that holds whole tokens takes one whole
+    token, so no two workers claim the same run."""
+    yield first
+    while token := os.read(fd, _INDEX):
+        yield from runs[int.from_bytes(token, "little")]
+
+
 def _child(
     work: Callable[[Item], object],
-    share: Sequence[Item],
-    who: str,
+    items: Sequence[Item],
+    indices: Iterable[int],
+    who: Callable[[list[int]], str],
     fd: int,
     inherited: list[int],
 ) -> NoReturn:
-    """Run ``work`` over ``share`` in a forked child, send the results (or
-    the error that stopped them) down ``fd`` and leave without running any
+    """Run ``work`` on the items at ``indices`` in a forked child, writing
+    each index down ``fd`` before its item runs; then send ``_END`` and the
+    results (or the error that stopped them) and leave without running any
     exit handler.  Never returns into the caller's stack."""
     import pickle
 
@@ -152,42 +184,62 @@ def _child(
     try:
         for other in inherited:
             os.close(other)
+        claimed: list[int] = []
         try:
-            payload = pickle.dumps((None, [work(item) for item in share]))
+            results = []
+            for i in indices:
+                os.write(fd, i.to_bytes(_INDEX, "little"))
+                claimed.append(i)
+                results.append(work(items[i]))
+            payload = pickle.dumps((None, results))
         except BaseException as exc:  # sent to the parent, which raises it
-            payload = pickle.dumps((_portable_error(exc, who), None))
+            payload = pickle.dumps((_portable_error(exc, who(claimed)), None))
         with open(fd, "wb") as pipe:
-            pipe.write(len(payload).to_bytes(_HEADER, "little"))
+            pipe.write(_END + len(payload).to_bytes(_HEADER, "little"))
             pipe.write(payload)
         status = 0
     finally:
         os._exit(status)
 
 
-def _unpack(data: bytes, status: int, who: str) -> object:
-    """A reaped child's results, or the error it ended with."""
+def _unpack(
+    data: bytes, status: int, who: Callable[[list[int]], str]
+) -> Iterable[tuple[int, object]]:
+    """A reaped child's (index, result) pairs, or the error it ended with;
+    ``who(claimed)`` names the child by the indices it claimed."""
     import pickle
 
+    claimed: list[int] = []
+    payload = b""
+    for at in range(0, len(data), _INDEX):
+        index = data[at : at + _INDEX]
+        if index == _END:
+            payload = data[at + _INDEX :]
+            break
+        claimed.append(int.from_bytes(index, "little"))
     code = os.waitstatus_to_exitcode(status)
     if code < 0:
         import signal
 
         raise SweepWorkerError(
-            f"the worker for {who} was killed by signal {-code} ({signal.Signals(-code).name})"
+            f"the worker for {who(claimed)} was killed by signal {-code} "
+            f"({signal.Signals(-code).name})"
         )
     if code > 0:
-        raise SweepWorkerError(f"the worker for {who} exited with status {code}")
-    size = int.from_bytes(data[:_HEADER], "little")
-    if len(data) != _HEADER + size:
+        raise SweepWorkerError(f"the worker for {who(claimed)} exited with status {code}")
+    size = int.from_bytes(payload[:_HEADER], "little")
+    if len(payload) != _HEADER + size:
         raise SweepWorkerError(
-            f"the worker for {who} exited with status 0 "
-            f"but sent a short payload ({len(data)} bytes)"
+            f"the worker for {who(claimed)} exited with status 0 "
+            f"but sent a short payload ({len(payload)} bytes)"
         )
-    error, result = pickle.loads(data[_HEADER:])
+    error, results = pickle.loads(payload[_HEADER:])
     if error is not None:
         exc, trace = error
-        raise exc from SweepWorkerError(f"raised in the worker for {who}; its traceback:\n{trace}")
-    return result
+        raise exc from SweepWorkerError(
+            f"raised in the worker for {who(claimed)}; its traceback:\n{trace}"
+        )
+    return zip(claimed, results)
 
 
 def _fork_map(
@@ -197,50 +249,74 @@ def _fork_map(
     name: Callable[[list[Item]], str],
 ) -> list[Result]:
     """``[work(item) for item in items]`` on up to ``workers`` workers, as
-    the module docstring describes.  ``name(share)`` completes "the worker
-    for ..." in the errors of the child that ran ``share``.  Every worker
-    count takes the one path below: with one worker, no items or no
-    ``os.fork``, ``shares[1:]`` is empty, so nothing is forked and
+    the module docstring describes: the workers claim the items and the
+    results come back in item order.  ``name(claimed)`` completes "the
+    worker for ..." in the errors of the child that claimed the items
+    ``claimed``, in claim order, the one it failed in last.  Every worker
+    count runs the one claim loop below over an iterator of indices: with
+    one worker, no items or no ``os.fork`` it is ``range(len(items))``, so
+    nothing is forked, there is no pipe, no item costs a system call and
     ``pickle`` is not imported.  Every child is reaped before this returns
     or raises."""
-    w = max(1, min(workers, len(items))) if hasattr(os, "fork") else 1
-    shares = [items[i::w] for i in range(w)]
-    children: list[tuple[int, int, str]] = []  # (pid, read end, name)
+    n = len(items)
+    w = max(1, min(workers, n)) if hasattr(os, "fork") else 1
+
+    def who(claimed: list[int]) -> str:
+        return name([items[i] for i in claimed])
+
+    results: list = [None] * n
+    indices: Iterable[int] = range(n)
+    claim_fd = -1  # the read end of the claim pipe, once there is one
+    children: list[tuple[int, int]] = []  # (pid, read end)
     unreaped: set[int] = set()
     try:
-        for share in shares[1:]:
+        if w > 1:
             import pickle  # imported before the fork, so that no child imports it again
 
-            who = name(share)
-            r, w_end = os.pipe()
-            pid = 0
+            # Items 0 to w - 1 go one to each worker; every later item is in
+            # one run of the claim pipe.
+            runs = [range(*span) for span in _spans(w, n, _MAX_TOKENS)]
+            claim_fd, fill = os.pipe()
             try:
-                pid = os.fork()
-                if pid == 0:
-                    _child(work, share, who, w_end, [r] + [c[1] for c in children])
+                os.write(fill, b"".join(k.to_bytes(_INDEX, "little") for k in range(len(runs))))
             finally:
-                os.close(w_end)
-                if pid:
-                    children.append((pid, r, who))
-                    unreaped.add(pid)
-                else:  # the fork itself failed
-                    os.close(r)
-        parts = [[work(item) for item in shares[0]]]
-        for pid, r, who in children:
+                os.close(fill)
+            for first in range(1, w):
+                r, w_end = os.pipe()
+                pid = 0
+                try:
+                    pid = os.fork()
+                    if pid == 0:
+                        inherited = [r] + [c[1] for c in children]
+                        _child(work, items, _claims(first, claim_fd, runs), who, w_end, inherited)
+                finally:
+                    os.close(w_end)
+                    if pid:
+                        children.append((pid, r))
+                        unreaped.add(pid)
+                    else:  # the fork itself failed
+                        os.close(r)
+            indices = _claims(0, claim_fd, runs)
+        for i in indices:
+            results[i] = work(items[i])
+        for pid, r in children:
             with open(r, "rb", closefd=False) as pipe:
                 data = pipe.read()
             _, status = os.waitpid(pid, 0)
             unreaped.discard(pid)
-            parts.append(_unpack(data, status, who))
+            for i, result in _unpack(data, status, who):
+                results[i] = result
     finally:
-        for pid, r, _ in children:
+        if claim_fd >= 0:
+            os.close(claim_fd)
+        for pid, r in children:
             os.close(r)
             if pid in unreaped:
                 import signal  # only a child still running needs it
 
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return [parts[k % w][k // w] for k in range(len(items))]
+    return results
 
 
 def run_sweep(
@@ -258,19 +334,21 @@ def run_sweep(
     ``inputs(a, b)`` yields, in increasing order, the inputs of each span
     [a, b) that need a check; the caller vouches for the others.  The
     report counts all of [lo, hi) as checked.  The range is cut into
-    4 * workers spans, this process scans every workers-th span from the
-    first and forked children scan the rest; see the module docstring.  On
-    one worker, and where ``os.fork`` is missing, this process scans every
-    span and forks nothing.  ``check`` and ``inputs`` reach the children by
-    fork, so they may be lambdas or closures; only the rows are pickled.
-    Raises ``SweepWorkerError`` when a child crashes, and whatever ``check``
-    raised, in this process or a child.
+    16 * workers spans; this process and the forked children claim them one
+    at a time and the rows come back in span order, so the report does not
+    depend on the worker count; see the module docstring.  On one worker,
+    and where ``os.fork`` is missing, this process scans every span and
+    forks nothing.  ``check`` and ``inputs`` reach the children by fork, so
+    they may be lambdas or closures; only the rows are pickled.  Raises
+    ``SweepWorkerError`` naming the spans a child claimed, the one it failed
+    in last, when the child crashes, and whatever ``check`` raised, in this
+    process or a child.
     """
     if hi < lo:
         raise DomainError(f"empty-range sweep: [{lo}, {hi})")
     w = resolve_workers(workers)
     start = time.perf_counter()
-    spans = _spans(lo, hi, 4 * w)
+    spans = _spans(lo, hi, _SPANS_PER_WORKER * w)
     parts = _fork_map(lambda span: _scan(check, inputs, *span), spans, w, _span_names)
     new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
     rows = [new(Counterexample, row) for part in parts for row in part]

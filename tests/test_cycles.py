@@ -274,7 +274,8 @@ def _planted_hits_step(state, m, e):
 
 
 @pytest.mark.usefixtures("split_any_box")
-@pytest.mark.parametrize("n_max,budget", [(3, 12), (4, 13)])
+# (2, 45) has 1,035 first blocks, more than the claim pipe's tokens.
+@pytest.mark.parametrize("n_max,budget", [(3, 12), (4, 13), (2, 45)])
 def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget, monkeypatch):
     expected = []
     for n in range(1, n_max + 1):
@@ -547,8 +548,9 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-# The first blocks that the one child walks at two workers.
-_CHILD_SHARE = _firsts(12)[1::2]
+# The first block that the one child walks first at two workers.  A fault
+# planted in it fails the child before it claims any other first block.
+_CHILD_FIRST = _firsts(12)[1]
 
 
 @pytest.mark.parametrize(
@@ -562,13 +564,12 @@ _CHILD_SHARE = _firsts(12)[1::2]
 )
 @pytest.mark.usefixtures("split_any_box")
 def test_crashed_search_worker_names_its_first_blocks(action, says, monkeypatch):
-    share = ", ".join(map(str, _CHILD_SHARE))
     for plant in _PLANTS:
         with monkeypatch.context() as patch:
-            plant(patch, action, _CHILD_SHARE[1])
+            plant(patch, action, _CHILD_FIRST)
             with pytest.raises(SweepWorkerError) as info:
                 search_cycles(3, 12, workers=2)
-        assert str(info.value) == f"the worker for first blocks (m, e) {share} {says}", plant
+        assert str(info.value) == f"the worker for first blocks (m, e) {_CHILD_FIRST} {says}", plant
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -578,11 +579,11 @@ def test_crashed_search_worker_fails_the_cli(monkeypatch, capsys):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     for plant in _PLANTS:
         with monkeypatch.context() as patch:
-            plant(patch, partial(os._exit, 3), _CHILD_SHARE[0])
+            plant(patch, partial(os._exit, 3), _CHILD_FIRST)
             assert cli.run(["cycles", "search", "--n-max", "3", "--budget", "12"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
-        assert err == f"error: the worker for {_first_block_names(_CHILD_SHARE)} exited with status 3\n"
+        assert err == f"error: the worker for first blocks (m, e) {_CHILD_FIRST} exited with status 3\n"
 
 
 @pytest.mark.usefixtures("split_any_box")
@@ -590,13 +591,16 @@ def test_search_worker_exception_keeps_its_type(monkeypatch):
     for plant in _PLANTS:
         with monkeypatch.context() as patch:
             action = partial(_raise, IdentityViolation("planted"))
-            planted = plant(patch, action, _CHILD_SHARE[-1])
+            planted = plant(patch, action, _CHILD_FIRST)
             with pytest.raises(IdentityViolation, match="^planted$") as info:
                 search_cycles(3, 12, workers=2)
-        # the cause names the child's first blocks and carries its traceback
-        assert isinstance(info.value.__cause__, SweepWorkerError)
-        assert _first_block_names(_CHILD_SHARE) in str(info.value.__cause__)
-        assert f"in {planted.__name__}" in str(info.value.__cause__)
+        # the cause names the child's first block and carries its traceback
+        cause = info.value.__cause__
+        assert isinstance(cause, SweepWorkerError)
+        assert str(cause).startswith(
+            f"raised in the worker for {_first_block_names([_CHILD_FIRST])}; its traceback:\n"
+        )
+        assert f"in {planted.__name__}" in str(cause)
 
 
 # At three workers the first child starts with this first block, and the

@@ -4,6 +4,7 @@ import re
 import signal
 import subprocess
 import sys
+import time
 import warnings
 from functools import partial
 from pathlib import Path
@@ -18,6 +19,9 @@ from collatz_lab.errors import DomainError, IdentityViolation, SweepWorkerError
 from collatz_lab.report import Counterexample, export_report
 from collatz_lab.sweeps import (
     SIEVE_MODULUS,
+    _INDEX,
+    _MAX_TOKENS,
+    _SPANS_PER_WORKER,
     _descent_steps,
     _drop_check,
     _fork_map,
@@ -211,14 +215,20 @@ def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
-@pytest.mark.parametrize("count", [0, 1, 5, 7])
+@pytest.mark.parametrize("count", [0, 1, 5, 7, _MAX_TOKENS + 3, 5000])
 def test_fork_map_is_a_map_in_item_order(count, workers, monkeypatch):
+    # Items 0 to w - 1 go one to each of w workers, and the rest fill one
+    # write of at most _MAX_TOKENS claim tokens, which never blocks.
     forks, real_fork = [], os.fork
+    writes, real_write = [], os.write
     monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
-    items = [(3 * i) % 11 for i in range(count)]
+    monkeypatch.setattr(os, "write", lambda fd, b: writes.append(len(b)) or real_write(fd, b))
+    items = [(7 * i) % 10007 for i in range(count)]
     got = _fork_map(lambda x: (x, x * x), items, workers, str)
     assert got == [(x, x * x) for x in items]
-    assert len(forks) == max(0, min(workers, count) - 1)
+    w = max(1, min(workers, count))
+    assert len(forks) == w - 1
+    assert writes == ([_INDEX * min(count - w, _MAX_TOKENS)] if w > 1 else [])
 
 
 def _sevens(z):
@@ -269,9 +279,9 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-# Spans [0, 100) at two workers; the child scans every second span.
-_CHILD_SPANS = _spans(0, 100, 8)[1::2]
-_CHILD_SPAN_NAMES = ", ".join(f"[{a}, {b})" for a, b in _CHILD_SPANS)
+# Spans [0, 100) at two workers.  The child runs the second span first, so
+# a fault planted there fails the child before it claims any other span.
+_CHILD_SPAN = _spans(0, 100, 2 * _SPANS_PER_WORKER)[1]
 
 
 @pytest.mark.parametrize(
@@ -284,20 +294,20 @@ _CHILD_SPAN_NAMES = ", ".join(f"[{a}, {b})" for a, b in _CHILD_SPANS)
     ids=["exit-3", "sigkill", "short-payload"],
 )
 def test_crashed_worker_raises_and_names_its_spans(action, says):
-    check = _planted(action, _CHILD_SPANS[1][0] + 1)
+    check = _planted(action, _CHILD_SPAN[0] + 1)
     with pytest.raises(SweepWorkerError) as info:
         run_sweep("crash", check, 0, 100, workers=2)
-    assert str(info.value) == f"the worker for spans {_CHILD_SPAN_NAMES} {says}"
+    assert str(info.value) == f"the worker for spans [{_CHILD_SPAN[0]}, {_CHILD_SPAN[1]}) {says}"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-# verify transitions|polyline --max 300 at two workers: the child's spans.
-_CLI_CHILD_SPANS = _spans(1, 301, 8)[1::2]
+# verify transitions|polyline --max 300 at two workers: the child's first span.
+_CLI_CHILD_SPAN = _spans(1, 301, 2 * _SPANS_PER_WORKER)[1]
 
 
 def test_crashed_worker_fails_the_cli(monkeypatch, capsys):
-    crash = _planted(partial(os._exit, 3), _CLI_CHILD_SPANS[0][0])
+    crash = _planted(partial(os._exit, 3), _CLI_CHILD_SPAN[0])
 
     def crashing_transition_symbolic(c, _real=residues.transition_symbolic):
         crash(residues.declassify(c))
@@ -307,12 +317,12 @@ def test_crashed_worker_fails_the_cli(monkeypatch, capsys):
     assert cli.run(["verify", "transitions", "--max", "300", "--workers", "2"]) == 1
     out, err = capsys.readouterr()
     assert "PASS" not in out
-    names = ", ".join(f"[{a}, {b})" for a, b in _CLI_CHILD_SPANS)
-    assert err == f"error: the worker for spans {names} exited with status 3\n"
+    a, b = _CLI_CHILD_SPAN
+    assert err == f"error: the worker for spans [{a}, {b}) exited with status 3\n"
 
 
 def test_worker_exception_keeps_its_type(monkeypatch):
-    at = _CLI_CHILD_SPANS[2][0] + 5
+    at = _CLI_CHILD_SPAN[0] + 5
     violate = _planted(partial(_raise, IdentityViolation(f"planted at {at}")), at)
 
     def violating_transition_symbolic(c, _real=residues.transition_symbolic):
@@ -322,28 +332,69 @@ def test_worker_exception_keeps_its_type(monkeypatch):
     monkeypatch.setattr(residues, "transition_symbolic", violating_transition_symbolic)
     with pytest.raises(IdentityViolation, match=f"^planted at {at}$") as info:
         verify_transitions(300, workers=2)
-    # the cause carries the child's traceback
-    assert isinstance(info.value.__cause__, SweepWorkerError)
-    assert "violating_transition_symbolic" in str(info.value.__cause__)
+    # the cause names the child's span and carries its traceback
+    cause = info.value.__cause__
+    assert isinstance(cause, SweepWorkerError)
+    a, b = _CLI_CHILD_SPAN
+    assert str(cause).startswith(f"raised in the worker for spans [{a}, {b}); its traceback:\n")
+    assert "violating_transition_symbolic" in str(cause)
 
 
 def test_unpicklable_worker_exception_becomes_a_sweep_worker_error():
     class Local(Exception):  # a local class cannot be pickled
         pass
 
-    check = _planted(partial(_raise, Local("not portable")), _CHILD_SPANS[0][0])
+    check = _planted(partial(_raise, Local("not portable")), _CHILD_SPAN[0])
     with pytest.raises(SweepWorkerError) as info:
         run_sweep("unpicklable", check, 0, 100, workers=2)
     assert str(info.value) == (
-        f"the worker for spans {_CHILD_SPAN_NAMES} raised Local('not portable'), "
+        f"the worker for spans [{_CHILD_SPAN[0]}, {_CHILD_SPAN[1]}) raised Local('not portable'), "
         "which cannot be pickled"
     )
+
+
+def test_a_slow_child_worker_leaves_most_items_to_the_parent():
+    parent, ran_here = os.getpid(), []
+
+    def work(i):
+        if os.getpid() == parent:
+            ran_here.append(i)
+        else:
+            time.sleep(0.02)
+        return -i
+
+    assert _fork_map(work, range(40), 2, str) == [-i for i in range(40)]
+    assert len(ran_here) > 0.6 * 40
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid"), reason="waits for the child with os.waitid")
+def test_a_crashed_worker_is_named_by_its_claims_the_failing_item_last(monkeypatch):
+    # The test process holds its first item until the child has exited, so
+    # the child claims the first two runs of the pipe, items 2 and 3, and
+    # exits in the third item it claimed.
+    forked, real_fork, parent, claims = [], os.fork, os.getpid(), []
+    monkeypatch.setattr(os, "fork", lambda: forked.append(real_fork()) or forked[-1])
+
+    def work(item):
+        if os.getpid() != parent:
+            claims.append(item)
+            if len(claims) == 3:
+                os._exit(3)
+        elif item == 0:
+            os.waitid(os.P_PID, forked[0], os.WEXITED | os.WNOWAIT)  # leaves it unreaped
+        return item
+
+    with pytest.raises(SweepWorkerError) as info:
+        _fork_map(work, [10 * i for i in range(40)], 2, lambda claimed: f"items {claimed}")
+    assert str(info.value) == "the worker for items [10, 20, 30] exited with status 3"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 # At three workers over [0, 10^5), the first child starts with this input
 # and the test process scans _IN_PARENT itself.  When either fails, the
 # second child has not been reaped yet.
-_FIRST_CHILD_INPUT = _spans(0, 10**5, 12)[1][0]
+_FIRST_CHILD_INPUT = _spans(0, 10**5, 3 * _SPANS_PER_WORKER)[1][0]
 _IN_PARENT = 3
 
 
