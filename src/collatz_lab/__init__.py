@@ -45,9 +45,7 @@ _SOURCES = {
     "class_from_polyline": "polyline",
     "class_sequence": "residues",
     "classify": "residues",
-    "closed_form_k": "blocks",
     "cycle_equation_general": "cycles",
-    "cycle_k_n1": "cycles",
     "cycle_residual": "polyline",
     "declassify": "residues",
     "decompose": "blocks",
@@ -79,7 +77,6 @@ _SOURCES = {
     "verify_blocks": "sweeps",
     "verify_convergence": "sweeps",
     "verify_polylines": "sweeps",
-    "verify_recurrence": "blocks",
     "verify_transitions": "sweeps",
 }
 

@@ -21,17 +21,19 @@ to
     c = 3^(m+1) - 2^m - 2^(e+m),
 
 so that after n blocks k_n = (T * k_0 + S) / P.  ``recurrence_holds``
-returns whether a real block balances one step, ``block_state`` folds the
-step over a checked parameter list, and the cycle search (``cycles``) over
-whole parameter boxes.  ``closing_blocks`` lists the last blocks that close
-a state, by a lemma derived from the step, without taking each step.  The
-step also makes sense for *formal* parameter lists (m_j, e_j) that need
-not come from a real trajectory, which is what the cycle search exploits.
+returns whether a real block balances one step; the blocks sweep kernel,
+``block_counterexample``, asks it of every block it walks.
+``block_state`` folds the step over a checked parameter list, and the
+cycle search (``cycles``) over whole parameter boxes.  ``closing_blocks``
+lists the last blocks that close a state, by a lemma derived from the
+step, without taking each step.  The step also makes sense for *formal*
+parameter lists (m_j, e_j) that need not come from a real trajectory, for
+which (T * k_0 + S) / P need not be an integer; the cycle search exploits
+them.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from typing import Iterator, NamedTuple, Sequence
 
@@ -50,8 +52,6 @@ __all__ = [
     "block_state",
     "closing_blocks",
     "recurrence_holds",
-    "verify_recurrence",
-    "closed_form_k",
     "block_counterexample",
 ]
 
@@ -277,39 +277,6 @@ def recurrence_holds(b: Block) -> bool:
     """Does the block balance one cleared step, P * k_out == T * k_in + S?"""
     p, t, s = block_step(START, b.m, b.e)
     return p * b.k_out == t * b.k_in + s
-
-
-def verify_recurrence(bs: BlockSequence):
-    """Check every block with ``recurrence_holds`` and report any violation
-    (expected: none, ever), with the k_out the recurrence predicts."""
-    from .report import Counterexample, VerificationReport
-
-    if not bs.blocks:
-        raise DomainError("empty block sequence")
-    bad = [
-        Counterexample(
-            f"block {i} k_in={b.k_in}", str(b.k_out), str(closed_form_k(b.k_in, (b.m,), (b.e,)))
-        )
-        for i, b in enumerate(bs.blocks)
-        if not recurrence_holds(b)
-    ]
-    return VerificationReport(
-        command="blocks recurrence",
-        checked=len(bs.blocks),
-        counterexamples=bad,
-        config={"blocks": str(len(bs.blocks))},
-    )
-
-
-def closed_form_k(k0, m_seq: Sequence[int], e_seq: Sequence[int]) -> Fraction:
-    """k_n = (T * k0 + S) / P, with (P, T, S) the step folded over the list.
-
-    Non-integral results are legal: formal parameter lists need not describe
-    any real trajectory.  On lists taken from a real decomposition this
-    equals the decomposition's final k_out.
-    """
-    p, t, s = block_state(m_seq, e_seq)
-    return Fraction(t * k0 + s, p)
 
 
 def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:

@@ -12,10 +12,13 @@ k_n = (T * k_0 + S) / P.  The closure condition k_n = k_0 therefore reads
 
     k0 * (P - T) = S.
 
-The bracket never vanishes, as no power of 2 equals a power of 3; every
-closure here raises ``IdentityViolation`` where it would.  For one block:
+``cycle_equation_general`` solves it for any candidate, one block
+included, where it reads
 
     k' = (3^(m+1) - 2^m - 2^(e+m)) / (2^(e+m+1) - 3^(m+1)).
+
+The bracket never vanishes, as no power of 2 equals a power of 3; every
+closure here raises ``IdentityViolation`` where it would.
 
 ``search_cycles`` walks its parameter box exhaustively, depth first.  A
 node is a list of blocks with its state and the budget left.  It takes
@@ -50,7 +53,6 @@ from .sweeps import _fork_map, resolve_workers
 __all__ = [
     "CycleCandidate",
     "CycleSolution",
-    "cycle_k_n1",
     "cycle_equation_general",
     "search_cycles_n1",
     "search_cycles",
@@ -75,13 +77,6 @@ class CycleSolution(NamedTuple):
     simulated_ok: bool
 
 
-def _fixed_point(state: State) -> Fraction:
-    p, t, s = state
-    if p == t:
-        raise _vanished(p)
-    return Fraction(s, p - t)
-
-
 def _simulate(c: CycleCandidate, k0: int) -> bool:
     """n real blocks from k0 must use exactly c's parameters and close; the
     walk, zipped last, makes no block past the first mismatch."""
@@ -97,11 +92,6 @@ def _hit(pairs: Sequence[tuple[int, int]], k0: int) -> CycleSolution:
     return CycleSolution(c, Fraction(k0), True, True, _simulate(c, k0))
 
 
-def cycle_k_n1(m: int, e: int) -> Fraction:
-    """Fixed point of a single formal block with parameters (m, e)."""
-    return _fixed_point(block_state((m,), (e,)))
-
-
 def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
     """Solve the n-block closure k_n = k_0 for the candidate's parameters.
 
@@ -111,7 +101,10 @@ def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
 
         k0 = S / (prod_j 2^(e_j+m_j+1) - prod_j 3^(m_j+1)).
     """
-    k0 = _fixed_point(block_state(c.m_seq, c.e_seq))
+    p, t, s = block_state(c.m_seq, c.e_seq)
+    if p == t:
+        raise _vanished(p)
+    k0 = Fraction(s, p - t)
     is_integer = k0.denominator == 1
     is_nonneg = k0 >= 0
     simulated = is_integer and is_nonneg and _simulate(c, int(k0))

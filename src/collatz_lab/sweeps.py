@@ -39,8 +39,9 @@ there.
 The ``verify`` sweeps are the rows of ``SWEEPS``.  A row names its check
 kernel as ``"module.function"``, looked up once per sweep call, so a sweep
 imports only its own kernel's module (``verify transitions`` loads neither
-``blocks`` nor ``fractions``), ``pickle`` is imported only when workers are
-forked and ``signal`` only when a child is killed or its signal is named.
+``blocks`` nor ``fractions``, and ``verify blocks`` neither ``cycles`` nor
+``fractions``), ``pickle`` is imported only when workers are forked and
+``signal`` only when a child is killed or its signal is named.
 
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so

@@ -9,12 +9,11 @@ from collatz_lab.blocks import (
     BlockSequence,
     block_counterexample,
     block_path,
-    closed_form_k,
+    block_state,
     decompose,
     decompose_until_trivial,
     make_block,
     recurrence_holds,
-    verify_recurrence,
 )
 from collatz_lab.core import step_c
 from collatz_lab.cycles import CycleCandidate, cycle_equation_general
@@ -154,39 +153,26 @@ def test_decompose_until_trivial_budget_edge():
             decompose_until_trivial(7, max_blocks=budget)
 
 
-def test_verify_recurrence_passes():
-    report = verify_recurrence(decompose(6, 5))
-    assert report.passed and report.checked == 5
-    # its own name: the range sweep of verify_blocks is "verify blocks"
-    assert report.command == "blocks recurrence"
-
-
-def test_verify_recurrence_flags_tampering():
-    bs = decompose(6, 3)
-    bs.blocks[1] = bs.blocks[1]._replace(k_out=bs.blocks[1].k_out + 1)
-    bs.blocks[2] = bs.blocks[2]._replace(k_in=bs.blocks[2].k_in + 1)
-    report = verify_recurrence(bs)
-    assert not report.passed
-    assert len(report.counterexamples) == 2
-    assert report.counterexamples[0].input.startswith("block 1")
-    for c, b in zip(report.counterexamples, bs.blocks[1:]):
-        a, off = ref_formal_coefficients(b.m, b.e)
-        assert (c.expected, c.actual) == (str(b.k_out), str(a * b.k_in + off))
+def k_after(k0, m_seq, e_seq):
+    """k_n = (T * k0 + S) / P, with (P, T, S) the block step folded over the
+    list by ``block_state``: the closed form is that fold and one Fraction."""
+    p, t, s = block_state(m_seq, e_seq)
+    return Fraction(t * k0 + s, p)
 
 
 def test_closed_form_spots():
-    assert closed_form_k(1, [1], [3]) == 0
-    assert closed_form_k(0, [0, 0], [1, 1]) == 0
-    assert closed_form_k(4, [0, 2], [1, 1]) == 6
+    assert k_after(1, [1], [3]) == 0
+    assert k_after(0, [0, 0], [1, 1]) == 0
+    assert k_after(4, [0, 2], [1, 1]) == 6
 
 
 @settings(max_examples=200)
 @given(st.integers(min_value=0, max_value=4000), st.integers(min_value=1, max_value=12))
 def test_closed_form_equals_real_decomposition(k0, n):
     bs = decompose(k0, n)
-    k = closed_form_k(k0, bs.m_seq, bs.e_seq)
+    k = k_after(k0, bs.m_seq, bs.e_seq)
     assert k == bs.blocks[-1].k_out
-    assert k == ref_closed_form_k(k0, bs.m_seq, bs.e_seq) and type(k) is Fraction
+    assert k == ref_closed_form_k(k0, bs.m_seq, bs.e_seq)
 
 
 @given(
@@ -199,13 +185,12 @@ def test_closed_form_equals_real_decomposition(k0, n):
 )
 def test_closed_form_equals_iterated_affine(k0, pairs):
     # formal parameter lists: closed form == step-by-step affine iteration
-    # == the O(n^2) closed form, exactly and as a Fraction
+    # == the O(n^2) closed form, exactly
     m_seq = [m for m, _ in pairs]
     e_seq = [e for _, e in pairs]
     ks = ref_iterate_affine(k0, m_seq, e_seq)
-    k = closed_form_k(k0, m_seq, e_seq)
+    k = k_after(k0, m_seq, e_seq)
     assert k == ks[-1] == ref_closed_form_k(k0, m_seq, e_seq)
-    assert isinstance(ks[-1], Fraction) and type(k) is Fraction
 
 
 def test_recurrence_holds_agrees_with_reference():
@@ -222,7 +207,7 @@ def test_recurrence_holds_agrees_with_reference():
 )
 def test_closed_form_domain(m_seq, e_seq):
     with pytest.raises(DomainError):
-        closed_form_k(0, m_seq, e_seq)
+        block_state(m_seq, e_seq)
     with pytest.raises(DomainError):
         cycle_equation_general(CycleCandidate(tuple(m_seq), tuple(e_seq)))
     with pytest.raises(DomainError):

@@ -21,7 +21,6 @@ from collatz_lab.cycles import (
     _first_block_names,
     count_candidates,
     cycle_equation_general,
-    cycle_k_n1,
     search_cycles,
     search_cycles_n1,
 )
@@ -56,18 +55,16 @@ def _per_candidate(n: int, budget: int) -> tuple:
     return tuple(s for s in sols if s.is_integer and s.is_nonneg)
 
 
+def _k_n1(m, e):
+    """The fixed point of the single formal block (m, e)."""
+    return cycle_equation_general(CycleCandidate((m,), (e,))).k0
+
+
 def test_k_n1_spots():
-    assert cycle_k_n1(0, 1) == 0
-    assert type(cycle_k_n1(0, 1)) is Fraction
-    assert cycle_k_n1(1, 2) == Fraction(-1, 7)
-    assert cycle_k_n1(0, 2) == Fraction(-2, 5)
-
-
-def test_k_n1_guards():
-    with pytest.raises(DomainError):
-        cycle_k_n1(-1, 1)
-    with pytest.raises(DomainError):
-        cycle_k_n1(0, 0)
+    assert _k_n1(0, 1) == 0
+    assert type(_k_n1(0, 1)) is Fraction
+    assert _k_n1(1, 2) == Fraction(-1, 7)
+    assert _k_n1(0, 2) == Fraction(-2, 5)
 
 
 def test_sign_lemma_m0():
@@ -76,13 +73,14 @@ def test_sign_lemma_m0():
         num = 3 - 1 - 2**e
         den = 2 ** (e + 1) - 3
         assert num < 0 < den
-        assert cycle_k_n1(0, e) < 0
+        assert _k_n1(0, e) < 0
 
 
 @given(st.integers(min_value=0, max_value=40), st.integers(min_value=1, max_value=40))
 def test_general_equation_matches_n1(m, e):
+    # against the single-block formula, written out apart from the block step
     sol = cycle_equation_general(CycleCandidate((m,), (e,)))
-    assert sol.k0 == cycle_k_n1(m, e)
+    assert sol.k0 == Fraction(3 ** (m + 1) - 2**m - 2 ** (e + m), 2 ** (e + m + 1) - 3 ** (m + 1))
 
 
 @given(st.integers(min_value=0, max_value=60), st.integers(min_value=1, max_value=60))
@@ -373,7 +371,7 @@ def test_n1_keeps_every_block_the_lemma_allows(box, monkeypatch):
 @given(st.integers(min_value=0, max_value=300), st.integers(min_value=1, max_value=300))
 def test_only_the_bit_length_e_closes_at_a_non_negative_point(m, e):
     # The single-block lemma of search_cycles_n1, against the exact fixed point.
-    if cycle_k_n1(m, e) >= 0:
+    if _k_n1(m, e) >= 0:
         assert e == (3 ** (m + 1)).bit_length() - m - 1
 
 
@@ -673,7 +671,7 @@ def test_vanishing_closure_raises_under_optimize():
         "from collatz_lab.errors import IdentityViolation\n"
         "vanish = lambda state, m, e: (8, 8, 1)\n"
         "last_vanishes = lambda state, m, e: (3, 4, 1)\n"
-        "for step, start, call in ((vanish, B.START, lambda: C.cycle_k_n1(0, 1)),\n"
+        "for step, start, call in (\n"
         "    (vanish, B.START, lambda: C.cycle_equation_general(C.CycleCandidate((0,), (1,)))),\n"
         "    (B.block_step, (3, 4, 1), lambda: C.search_cycles(1, 1, workers=1)),\n"
         "    (last_vanishes, B.START, lambda: C.search_cycles(3, 3, workers=1)),\n"
@@ -692,4 +690,4 @@ def test_vanishing_closure_raises_under_optimize():
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "raised\n" * 6
+    assert proc.stdout == "raised\n" * 5

@@ -35,7 +35,8 @@ def test_import_package_loads_no_submodule():
     assert sorted(m for m in loaded if m.startswith("collatz_lab.")) == []
 
 
-# Modules that none of the commands below runs.
+# Modules that none of the commands below runs; of these, ``verify blocks``
+# runs only ``blocks``.
 _NEVER = {
     "collatz_lab.cycles",
     "collatz_lab.blocks",
@@ -51,6 +52,15 @@ _NEVER = {
 _SWEEPS = "collatz_lab.sweeps"
 
 
+def _run_code(argv):
+    return (
+        "import contextlib, io\n"
+        "from collatz_lab import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert cli.run({argv!r}) == 0"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, also_unused",
     [
@@ -64,14 +74,33 @@ _SWEEPS = "collatz_lab.sweeps"
     ids=["classify", "trajectory", "polyline", "verify-transitions", "records-delay", "tree"],
 )
 def test_command_loads_only_what_it_runs(argv, also_unused):
-    code = (
-        "import contextlib, io\n"
-        "from collatz_lab import cli\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    assert cli.run({argv!r}) == 0"
-    )
-    loaded = _modules_after(code)
+    loaded = _modules_after(_run_code(argv))
     assert sorted(loaded & (_NEVER | also_unused)) == []
+
+
+def test_verify_blocks_loads_neither_cycles_nor_fractions():
+    # The blocks sweep is the one command that needs ``blocks``; the cycle
+    # closure and its Fraction stay in ``cycles``.
+    loaded = _modules_after(_run_code(["verify", "blocks", "--max", "300", "--workers", "1"]))
+    assert "collatz_lab.blocks" in loaded
+    assert sorted(loaded & (_NEVER - {"collatz_lab.blocks"})) == []
+
+
+def test_every_submodule_star_imports():
+    # A name left in a submodule's ``__all__`` after its definition went
+    # would fail here.  ``__main__`` runs the CLI on import, so it is left out.
+    code = """
+import pkgutil
+import collatz_lab
+
+names = sorted(m.name for m in pkgutil.iter_modules(collatz_lab.__path__))
+for name in names:
+    if name != "__main__":
+        exec(f"from collatz_lab.{name} import *", {})
+print(" ".join(names))
+"""
+    names = _fresh(code).split()
+    assert {"blocks", "cycles", "sweeps", "errors"} <= set(names)
 
 
 def test_lazy_exports_match_their_modules():
