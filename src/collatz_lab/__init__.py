@@ -72,7 +72,6 @@ _SOURCES = {
     "transition_graph": "residues",
     "transition_symbolic": "residues",
     "v2": "beta_chain",
-    "verify_beta_chain": "beta_chain",
     "verify_beta_chains": "sweeps",
     "verify_blocks": "sweeps",
     "verify_convergence": "sweeps",

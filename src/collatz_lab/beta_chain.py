@@ -9,17 +9,17 @@ the landing index h satisfies the exact identity
 
 ``solve_beta_chain`` computes (m, h) directly from the valuation;
 ``solve_beta_chain_paper`` reproduces the same pair by iterated halving case
-analysis.  ``verify_beta_chain`` replays the chain with the real map and
-checks the landing and the strict beta/eta alternation.
+analysis.  ``chain_counterexample`` is the one replay of the chain: it holds
+both solvers to each other and to the identity, and steps the chain value by
+value, checking the strict beta/eta alternation and the landing on 4h+1.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
 
-from .core import step_c
+from .core import _new
 from .errors import DomainError
-from .residues import ClassifiedInt, ResidueClass, _new, classify
 
 __all__ = [
     "v2",
@@ -28,8 +28,6 @@ __all__ = [
     "solve_beta_chain_paper",
     "chain_path",
     "chain_residues",
-    "ChainCheck",
-    "verify_beta_chain",
     "chain_counterexample",
 ]
 
@@ -114,47 +112,6 @@ def chain_residues(m: int) -> list[int]:
     """The residues mod 4 of the 2m+2 values of a chain of exponent m:
     beta and eta alternate (2, 3, ..., 2) and the landing is an alpha (1)."""
     return [2, 3] * m + [2, 1]
-
-
-class ChainCheck(NamedTuple):
-    """Replay of one chain against the map: landing value and class pattern."""
-
-    k: int
-    solution: BetaChainSolution
-    pattern: list[ResidueClass]
-    landing: int
-    ok: bool
-    failures: list[str]
-
-
-def verify_beta_chain(k: int) -> ChainCheck:
-    """Iterate the map 2m+1 steps from 4k+2 and check everything claimed:
-
-    the landing equals 4h+1, and the classes along the chain follow
-    ``chain_residues``: even-indexed chain values are beta, odd-indexed ones
-    are eta, and the final value is alpha.  Mismatches are reported, not
-    raised.
-    """
-    sol = solve_beta_chain(k)
-    failures: list[str] = []
-    pattern: list[ResidueClass] = []
-    v = sol.beta
-    for j, want in enumerate(chain_residues(sol.m)):
-        tag = classify(v).tag
-        pattern.append(tag)
-        if tag.offset & 3 != want:
-            where = f"step {j}: value {v}" if j < sol.steps else f"landing {v}"
-            want_name = ResidueClass(want or 4).ascii_name  # offset 4 is residue 0
-            failures.append(f"{where} is {tag.ascii_name}, expected {want_name}")
-        if j < sol.steps:
-            v = step_c(v)
-    if v != sol.alpha:
-        failures.append(f"landing {v} != 4h+1 = {sol.alpha}")
-    if (k + 1) * 3**sol.m != (2 * sol.h + 1) * 2**sol.m:
-        failures.append("exact identity (k+1)*3^m = (2h+1)*2^m violated")
-    return ChainCheck(
-        k=k, solution=sol, pattern=pattern, landing=v, ok=not failures, failures=failures
-    )
 
 
 def _off_chain(name: str, j: int, v: int) -> tuple[str, str]:

@@ -10,6 +10,9 @@ it.  Four loops inline the step instead of calling it: ``glide``,
 ``delay_sieve``, ``sweeps._drop_check`` and ``blocks.block_counterexample``.
 Each runs once per input of a sweep or a record table, where most walks end
 within a few steps, so a call per step would cost more than the walk.
+
+``_new`` is the one alias of the tuple constructor, with which every module
+builds its per-input records.
 """
 
 from __future__ import annotations
@@ -19,6 +22,8 @@ from typing import NamedTuple
 from .errors import DomainError, LimitExceeded
 
 DEFAULT_STEP_LIMIT = 100_000
+
+_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 __all__ = [
     "DEFAULT_STEP_LIMIT",

@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .core import step_t
+from .core import _new, step_t
 from .errors import DomainError, IdentityViolation, InvalidPolyline, PatternMismatch
-from .residues import ResidueClass, _new, classify
+from .residues import ResidueClass, classify
 
 if TYPE_CHECKING:  # only shape_residual computes with fractions
     from fractions import Fraction

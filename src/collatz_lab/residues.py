@@ -5,9 +5,10 @@ Every positive integer falls into exactly one of four classes
     alpha = 4k+1    beta = 4k+2    eta = 4k+3    gamma = 4k+4
 
 and one Collatz step sends a class to a class determined only by the tag and
-the parity of the index k.  ``transition_symbolic`` encodes that table and is
-checked against direct evaluation of the map by
-``sweeps.verify_transitions``.
+the parity of the index k.  ``transition_symbolic`` is the one lookup of
+that table, and ``sweeps.verify_transitions`` holds it to direct evaluation
+of the map.  ``transition_graph`` is data derived from the same table: the
+six class-to-class edges, each guarded by a parity of k.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
-from .core import DEFAULT_STEP_LIMIT, step_c, trajectory
+from .core import DEFAULT_STEP_LIMIT, _new, step_c, trajectory
 from .errors import DomainError
 
 __all__ = [
@@ -60,8 +61,6 @@ class ResidueClass(Enum):
 _A, _B, _E, _G = ResidueClass
 
 _BY_RESIDUE = (_A, _B, _E, _G)  # indexed by (z - 1) & 3
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 
 class ClassifiedInt(NamedTuple):
@@ -158,24 +157,9 @@ class GraphEdge(NamedTuple):
     dst: ResidueClass
     parity: str  # "any", "even" or "odd"
 
-    def admits(self, k: int) -> bool:
-        if self.parity == "any":
-            return True
-        return (k % 2 == 0) == (self.parity == "even")
-
 
 class TransitionGraph(NamedTuple):
     edges: frozenset[GraphEdge]
-
-    def edge_for(self, src: ResidueClass, k: int) -> GraphEdge:
-        """The unique out-edge taken from (src, k)."""
-        for e in self.edges:
-            if e.src is src and e.admits(k):
-                return e
-        raise KeyError((src, k))
-
-    def has_edge(self, src: ResidueClass, dst: ResidueClass, k: int) -> bool:
-        return any(e.src is src and e.dst is dst and e.admits(k) for e in self.edges)
 
 
 def transition_graph() -> TransitionGraph:

@@ -39,9 +39,10 @@ there.
 The ``verify`` sweeps are the rows of ``SWEEPS``.  A row names its check
 kernel as ``"module.function"``, looked up once per sweep call, so a sweep
 imports only its own kernel's module (``verify transitions`` loads neither
-``blocks`` nor ``fractions``, and ``verify blocks`` neither ``cycles`` nor
-``fractions``), ``pickle`` is imported only when workers are forked and
-``signal`` only when a child is killed or its signal is named.
+``blocks`` nor ``fractions``, and ``verify blocks`` none of ``cycles``,
+``residues`` and ``fractions``), ``pickle`` is imported only when workers
+are forked and ``signal`` only when a child is killed or its signal is
+named.
 
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
@@ -60,7 +61,7 @@ from functools import cache, partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
-from .core import DEFAULT_STEP_LIMIT, _check_step_limit
+from .core import DEFAULT_STEP_LIMIT, _check_step_limit, _new
 from .errors import DomainError, SweepWorkerError
 from .report import Counterexample, VerificationReport
 
@@ -351,8 +352,7 @@ def run_sweep(
     start = time.perf_counter()
     spans = _spans(lo, hi, _SPANS_PER_WORKER * w)
     parts = _fork_map(lambda span: _scan(check, inputs, *span), spans, w, _span_names)
-    new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
-    rows = [new(Counterexample, row) for part in parts for row in part]
+    rows = [_new(Counterexample, row) for part in parts for row in part]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,

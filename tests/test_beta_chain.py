@@ -11,11 +11,10 @@ from collatz_lab.beta_chain import (
     solve_beta_chain,
     solve_beta_chain_paper,
     v2,
-    verify_beta_chain,
 )
 from collatz_lab.core import step_c
 from collatz_lab.errors import DomainError
-from collatz_lab.residues import ResidueClass
+from collatz_lab.residues import ResidueClass, classify
 
 
 def test_v2():
@@ -84,32 +83,28 @@ def test_chain_residues_are_those_of_the_chain():
             assert chain_residues(m) == [v & 3 for v in chain_path(k, m)]
 
 
-def test_planted_chain_residues_fails_the_replay(monkeypatch):
-    monkeypatch.setattr("collatz_lab.beta_chain.chain_residues", lambda m: [2, 3] * m + [2, 3])
-    check = verify_beta_chain(3)
-    assert not check.ok
-    assert check.failures == ["landing 17 is alpha, expected eta"]
+def _pattern(k):
+    """The classes along the chain from 4k+2, read off by ``classify``."""
+    return [classify(v).tag for v in chain_path(k, solve_beta_chain(k).m)]
 
 
-def test_verify_beta_chain_k3():
-    check = verify_beta_chain(3)
-    assert check.ok and not check.failures
-    assert check.landing == 17
-    names = [t.ascii_name for t in check.pattern]
+def test_chain_pattern_k3():
+    assert chain_counterexample(3) is None
+    assert chain_path(3, 2)[-1] == 17
+    names = [t.ascii_name for t in _pattern(3)]
     assert names == ["beta", "eta", "beta", "eta", "beta", "alpha"]
 
 
-def test_verify_beta_chain_trivial():
-    check = verify_beta_chain(0)
-    assert check.ok
-    assert check.pattern == [ResidueClass.BETA, ResidueClass.ALPHA]
+def test_chain_pattern_trivial():
+    assert chain_counterexample(0) is None
+    assert _pattern(0) == [ResidueClass.BETA, ResidueClass.ALPHA]
 
 
 @given(st.integers(min_value=0, max_value=50000))
 def test_alternation_everywhere(k):
-    check = verify_beta_chain(k)
-    assert check.ok
-    body, last = check.pattern[:-1], check.pattern[-1]
+    assert chain_counterexample(k) is None
+    pattern = _pattern(k)
+    body, last = pattern[:-1], pattern[-1]
     assert last is ResidueClass.ALPHA
     for i, tag in enumerate(body):
         assert tag is (ResidueClass.BETA if i % 2 == 0 else ResidueClass.ETA)

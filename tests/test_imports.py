@@ -68,10 +68,22 @@ def _run_code(argv):
         (["trajectory", "--start", "27"], {_SWEEPS}),
         (["polyline", "7"], {_SWEEPS}),
         (["verify", "transitions", "--max", "300", "--workers", "1"], set()),
+        (
+            ["verify", "beta-chain", "--max", "300", "--workers", "1"],
+            {"collatz_lab.residues", "collatz_lab.polyline"},
+        ),
         (["records", "delay", "--max", "300"], {_SWEEPS}),
         (["tree", "--depth", "5"], {_SWEEPS}),
     ],
-    ids=["classify", "trajectory", "polyline", "verify-transitions", "records-delay", "tree"],
+    ids=[
+        "classify",
+        "trajectory",
+        "polyline",
+        "verify-transitions",
+        "verify-beta-chain",
+        "records-delay",
+        "tree",
+    ],
 )
 def test_command_loads_only_what_it_runs(argv, also_unused):
     loaded = _modules_after(_run_code(argv))
@@ -80,10 +92,12 @@ def test_command_loads_only_what_it_runs(argv, also_unused):
 
 def test_verify_blocks_loads_neither_cycles_nor_fractions():
     # The blocks sweep is the one command that needs ``blocks``; the cycle
-    # closure and its Fraction stay in ``cycles``.
+    # closure and its Fraction stay in ``cycles``, and the chain it builds on
+    # needs no residue classes.
     loaded = _modules_after(_run_code(["verify", "blocks", "--max", "300", "--workers", "1"]))
     assert "collatz_lab.blocks" in loaded
-    assert sorted(loaded & (_NEVER - {"collatz_lab.blocks"})) == []
+    unused = (_NEVER - {"collatz_lab.blocks"}) | {"collatz_lab.residues"}
+    assert sorted(loaded & unused) == []
 
 
 def test_every_submodule_star_imports():

@@ -6,7 +6,6 @@ from types import MappingProxyType
 
 import pytest
 
-from collatz_lab.beta_chain import verify_beta_chain
 from collatz_lab.blocks import decompose
 from collatz_lab.core import backward_tree, records_sweep, trajectory
 from collatz_lab.polyline import shape_residual, to_polyline
@@ -19,7 +18,6 @@ _FIELDS = {
     "Trajectory": ("start", "values", "reached_one"),
     "BackwardTree": ("depth", "nodes"),
     "RecordTable": ("kind", "entries"),
-    "ChainCheck": ("k", "solution", "pattern", "landing", "ok", "failures"),
     "ClassSequence": ("start", "classes", "counts"),
     "TransitionGraph": ("edges",),
     "ShapeReport": ("pattern", "boundaries", "residual", "tail"),
@@ -32,7 +30,6 @@ def test_record_contract():
         trajectory(27),
         backward_tree(3),
         records_sweep(100, "delay"),
-        verify_beta_chain(3),
         class_sequence(27),
         transition_graph(),
         shape_residual([to_polyline(1), to_polyline(2)], "pure_ab"),

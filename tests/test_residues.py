@@ -131,14 +131,18 @@ def test_class_sequence_tracks_trajectory(z):
         assert classify(v).tag is tag
 
 
+def _taken(src, k):
+    """The targets of the graph's edges out of src whose parity admits k."""
+    parity = "odd" if k & 1 else "even"
+    edges = transition_graph().edges
+    return {e.dst for e in edges if e.src is src and e.parity in ("any", parity)}
+
+
 def test_graph_edges():
-    g = transition_graph()
-    assert g.has_edge(A, G, 0) and g.has_edge(A, G, 1)
-    assert g.has_edge(B, A, 0) and not g.has_edge(B, A, 1)
-    assert g.has_edge(B, E, 1) and not g.has_edge(B, E, 0)
-    assert g.has_edge(E, B, 0) and g.has_edge(E, B, 5)
-    assert g.has_edge(G, B, 0) and g.has_edge(G, G, 1)
-    assert not g.has_edge(E, A, 0)
+    assert _taken(A, 0) == _taken(A, 1) == {G}
+    assert _taken(B, 0) == {A} and _taken(B, 1) == {E}
+    assert _taken(E, 0) == _taken(E, 5) == {B}
+    assert _taken(G, 0) == {B} and _taken(G, 1) == {G}
 
 
 def test_graph_edges_derived_from_table():
@@ -147,8 +151,6 @@ def test_graph_edges_derived_from_table():
 
 @given(st.integers(min_value=1, max_value=10**6))
 def test_graph_agrees_with_symbolic_table(z):
-    g = transition_graph()
+    # Exactly one edge leaves (tag, k), and it goes where the table says.
     c = classify(z)
-    nxt = transition_symbolic(c)
-    edge = g.edge_for(c.tag, c.k)
-    assert edge.dst is nxt.tag
+    assert _taken(c.tag, c.k) == {transition_symbolic(c).tag}
