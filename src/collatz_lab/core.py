@@ -1,5 +1,5 @@
 """Ground-truth Collatz dynamics: the maps, trajectories, the backward rule,
-and stopping-time records.
+the descent rule and stopping-time records.
 
 Everything here works on plain Python ints, so values never wrap no matter
 how far a trajectory climbs.  All symbolic machinery in the other modules is
@@ -7,9 +7,11 @@ checked against the brute-force iteration defined in this one.
 
 ``step_c`` is the raw map, and ``trajectory`` is the one walk to 1 built on
 it.  Four loops inline the step instead of calling it: ``glide``,
-``delay_sieve``, ``sweeps._drop_check`` and ``blocks.block_counterexample``.
+``delay_sieve``, ``drop_counterexample`` and ``blocks.block_counterexample``.
 Each runs once per input of a sweep or a record table, where most walks end
-within a few steps, so a call per step would cost more than the walk.
+within a few steps, so a call per step would cost more than the walk.  The
+first three walk the descent rule (n falls below itself within a step limit);
+``_descent_steps``, the convergence sweep's sieve, proves it by class mod 2^12.
 
 ``_new`` is the one alias of the tuple constructor, with which every module
 builds its per-input records.
@@ -17,11 +19,14 @@ builds its per-input records.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import cache
+from typing import Iterable, NamedTuple
 
 from .errors import DomainError, LimitExceeded
 
 DEFAULT_STEP_LIMIT = 100_000
+SIEVE_BITS = 12
+SIEVE_MODULUS = 1 << SIEVE_BITS
 
 _new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
@@ -38,6 +43,7 @@ __all__ = [
     "BackwardTree",
     "backward_tree",
     "delay_sieve",
+    "drop_counterexample",
     "RecordTable",
     "records_sweep",
 ]
@@ -208,6 +214,61 @@ def delay_sieve(n_max: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
     return delays
 
 
+def drop_counterexample(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:
+    """Sweep-grade check that n falls below itself within ``step_limit``
+    raw steps; None when it does.  The kernel of ``verify convergence``."""
+    v = n
+    for _ in range(step_limit):
+        v = 3 * v + 1 if v & 1 else v >> 1
+        if v < n:
+            return None
+    return ("a value below the start within the step limit", f"still at {v}")
+
+
+@cache
+def _descent_steps() -> tuple[int | None, ...]:
+    """For each residue class b mod 2^12: raw steps within which every
+    n = 2^12*a + b >= 1 falls below n, or None when the first 12 shortcut
+    steps do not show it.
+
+    Terras (1976): for j <= 12 the first j shortcut steps of n have the
+    parities of those of b, so T^j(n) = 3^c * 2^(12-j) * a + T^j(b) with c
+    the odd steps among them.  The first j with 3^c < 2^j and T^j(b) < b
+    gives T^j(n) < n after j + c raw steps (each odd shortcut step is two):
+    for a = 0 that is T^j(b) < b itself.  Built once per process, with
+    exact integers.
+    """
+    table: list[int | None] = []
+    for b in range(SIEVE_MODULUS):
+        t, c, three_c, steps = b, 0, 1, None
+        for j in range(1, SIEVE_BITS + 1):
+            if t & 1:
+                t, c, three_c = (3 * t + 1) >> 1, c + 1, 3 * three_c
+            else:
+                t >>= 1
+            if three_c < 1 << j and t < b:
+                steps = j + c
+                break
+        table.append(steps)
+    return tuple(table)
+
+
+def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
+    """Classes mod 2^12 whose descent the sieve does not prove within
+    ``step_limit`` raw steps."""
+    return tuple(
+        b for b, steps in enumerate(_descent_steps()) if steps is None or steps > step_limit
+    )
+
+
+def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int]:
+    """The n of [lo, hi) in surviving classes, in increasing order."""
+    for base in range(lo & -SIEVE_MODULUS, hi, SIEVE_MODULUS):
+        for b in survivors:
+            if lo <= base + b < hi:
+                yield base + b
+
+
 class RecordTable(NamedTuple):
     """Successive maxima of delay or glide, strictly increasing in both n and value."""
 
@@ -220,8 +281,8 @@ def records_sweep(
 ) -> RecordTable:
     """All n in [2, n_max] whose delay (or glide) beats every smaller n's.
 
-    Delay uses the memoized sieve; glide is recomputed per n (its walk is
-    short: half of all n drop below themselves in one step).
+    Delay uses the memoized ``delay_sieve``; glide is recomputed per n (its
+    walk is short: half of all n drop below themselves in one step).
     """
     if kind not in ("delay", "glide"):
         raise DomainError(f"kind must be 'delay' or 'glide', got {kind!r}")

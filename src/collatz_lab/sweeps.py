@@ -46,7 +46,8 @@ named.
 
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
-with a sieve of residue classes mod 2^12; see ``verify_convergence``.
+with the sieve of classes mod 2^12 in ``core``; see ``verify_convergence``.
+No kernel or sieve is defined here: each lives with the claim it checks.
 
 The worker count is the one the caller asks for, else the number of CPUs
 this process may run on.
@@ -57,11 +58,11 @@ from __future__ import annotations
 import importlib
 import os
 import time
-from functools import cache, partial
+from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
-from .core import DEFAULT_STEP_LIMIT, _check_step_limit, _new
+from .core import DEFAULT_STEP_LIMIT, _check_step_limit, _new, _sieve_survivors, _sieved_inputs
 from .errors import DomainError, SweepWorkerError
 from .report import Counterexample, VerificationReport
 
@@ -81,9 +82,6 @@ InputsFn = Callable[[int, int], Iterable[int]]
 Span = tuple[int, int]  # [lo, hi)
 Item = TypeVar("Item")
 Result = TypeVar("Result")
-
-SIEVE_BITS = 12
-SIEVE_MODULUS = 1 << SIEVE_BITS
 
 
 def resolve_workers(requested: int | None = None) -> int:
@@ -363,60 +361,6 @@ def run_sweep(
     )
 
 
-def _drop_check(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:
-    """Does n fall below itself within ``step_limit`` raw steps?"""
-    v = n
-    for _ in range(step_limit):
-        v = 3 * v + 1 if v & 1 else v >> 1
-        if v < n:
-            return None
-    return ("a value below the start within the step limit", f"still at {v}")
-
-
-@cache
-def _descent_steps() -> tuple[int | None, ...]:
-    """For each residue class b mod 2^12: raw steps within which every
-    n = 2^12*a + b >= 1 falls below n, or None when the first 12 shortcut
-    steps do not show it.
-
-    Terras (1976): for j <= 12 the first j shortcut steps of n have the
-    parities of those of b, so T^j(n) = 3^c * 2^(12-j) * a + T^j(b) with c
-    the odd steps among them.  The first j with 3^c < 2^j and T^j(b) < b
-    gives T^j(n) < n after j + c raw steps (each odd shortcut step is two):
-    for a = 0 that is T^j(b) < b itself.  Built once per process, with
-    exact integers.
-    """
-    table: list[int | None] = []
-    for b in range(SIEVE_MODULUS):
-        t, c, three_c, steps = b, 0, 1, None
-        for j in range(1, SIEVE_BITS + 1):
-            if t & 1:
-                t, c, three_c = (3 * t + 1) >> 1, c + 1, 3 * three_c
-            else:
-                t >>= 1
-            if three_c < 1 << j and t < b:
-                steps = j + c
-                break
-        table.append(steps)
-    return tuple(table)
-
-
-def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
-    """Classes mod 2^12 whose descent the sieve does not prove within
-    ``step_limit`` raw steps."""
-    return tuple(
-        b for b, steps in enumerate(_descent_steps()) if steps is None or steps > step_limit
-    )
-
-
-def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int]:
-    """The n of [lo, hi) in surviving classes, in increasing order."""
-    for base in range(lo & -SIEVE_MODULUS, hi, SIEVE_MODULUS):
-        for b in survivors:
-            if lo <= base + b < hi:
-                yield base + b
-
-
 class Sweep(NamedTuple):
     """One verification sweep.  ``check`` names its kernel as
     ``"module.function"`` within this package; the kernel runs on each input
@@ -452,7 +396,7 @@ SWEEPS: dict[str, Sweep] = {
     ),
     "polyline": Sweep("polyline.polyline_counterexample", 1, "z_max"),
     "convergence": Sweep(
-        "sweeps._drop_check", 2, "n_max", takes_limit=True, sieve=_sieve_survivors
+        "core.drop_counterexample", 2, "n_max", takes_limit=True, sieve=_sieve_survivors
     ),
 }
 
@@ -494,21 +438,18 @@ def _verify(
     )
 
 
-def verify_transitions(z_max: int, workers: int | None = None) -> VerificationReport:
+def verify_transitions(z_max: int, *, workers: int | None = None) -> VerificationReport:
     """The symbolic class-transition table against the real map, z <= z_max."""
     return _verify("transitions", z_max, workers)
 
 
-def verify_beta_chains(k_max: int, workers: int | None = None) -> VerificationReport:
+def verify_beta_chains(k_max: int, *, workers: int | None = None) -> VerificationReport:
     """Chain solver, case ladder, exact identity and replayed chains, k <= k_max."""
     return _verify("beta-chain", k_max, workers)
 
 
 def verify_blocks(
-    k_max: int,
-    workers: int | None = None,
-    *,
-    step_limit: int = DEFAULT_STEP_LIMIT,
+    k_max: int, *, workers: int | None = None, step_limit: int = DEFAULT_STEP_LIMIT
 ) -> VerificationReport:
     """Block decompositions against raw trajectories, k0 <= k_max.
 
@@ -521,23 +462,21 @@ def verify_blocks(
     return _verify("blocks", k_max, workers, step_limit)
 
 
-def verify_polylines(z_max: int, workers: int | None = None) -> VerificationReport:
+def verify_polylines(z_max: int, *, workers: int | None = None) -> VerificationReport:
     """Coordinate roundtrip, class agreement, closed form and step law, z <= z_max."""
     return _verify("polyline", z_max, workers)
 
 
 def verify_convergence(
-    n_max: int,
-    step_limit: int = DEFAULT_STEP_LIMIT,
-    workers: int | None = None,
+    n_max: int, *, workers: int | None = None, step_limit: int = DEFAULT_STEP_LIMIT
 ) -> VerificationReport:
     """Every n in [2, n_max] reaches 1: each n is checked to fall below its
     own start within the step limit, which by strong induction on n (all
     smaller starts already verified) pulls every orbit down to 1.
 
-    Only the n in classes mod 2^12 that ``_descent_steps`` leaves within
-    the step limit (about 5.6% of them at the default limit) are iterated;
-    every other n is proven to fall below itself by its class.  The
-    counterexamples are exactly those of ``_drop_check`` on every n.
+    Only the n in classes mod 2^12 that ``core._descent_steps`` leaves
+    within the step limit (about 5.6% of them at the default limit) are
+    iterated; every other n is proven to fall below itself by its class:
+    the counterexamples are those of ``core.drop_counterexample`` on all n.
     """
     return _verify("convergence", n_max, workers, step_limit)

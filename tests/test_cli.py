@@ -148,11 +148,11 @@ def test_limit_help_names_the_sweeps_that_take_a_limit():
 
 # Each registry row's public function, called as the CLI would at --max 300.
 _PUBLIC = {
-    "transitions": lambda limit: verify_transitions(300, 1),
-    "beta-chain": lambda limit: verify_beta_chains(300, 1),
-    "blocks": lambda limit: verify_blocks(300, 1, step_limit=limit),
-    "polyline": lambda limit: verify_polylines(300, 1),
-    "convergence": lambda limit: verify_convergence(300, limit, 1),
+    "transitions": lambda limit: verify_transitions(300, workers=1),
+    "beta-chain": lambda limit: verify_beta_chains(300, workers=1),
+    "blocks": lambda limit: verify_blocks(300, workers=1, step_limit=limit),
+    "polyline": lambda limit: verify_polylines(300, workers=1),
+    "convergence": lambda limit: verify_convergence(300, workers=1, step_limit=limit),
 }
 
 

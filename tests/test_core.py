@@ -6,6 +6,7 @@ from collatz_lab.core import (
     backward_tree,
     delay,
     delay_sieve,
+    drop_counterexample,
     glide,
     preimages_c,
     records_sweep,
@@ -120,6 +121,32 @@ def test_drop_walks_at_their_budget_edge():
             LimitExceeded, match="^27 did not drop below itself within 95 steps$"
         ):
             walk(27, 95)
+
+
+def test_drop_rule_encodings_agree():
+    # glide, the sweep kernel and delay_sieve each walk the descent rule on
+    # their own; at each limit they must fail on the same n.
+    full = delay_sieve(5000)
+    least = {}
+    for limit in [*range(1, 31), 131, 132]:
+        failing = []
+        for n in range(2, 5001):
+            try:
+                glide(n, limit)
+            except LimitExceeded:
+                failing.append(n)
+                assert drop_counterexample(n, limit) is not None, (n, limit)
+            else:
+                assert drop_counterexample(n, limit) is None, (n, limit)
+        if failing:
+            message = f"^{failing[0]} did not drop below itself within {limit} steps$"
+            with pytest.raises(LimitExceeded, match=message):
+                delay_sieve(5000, limit)
+        else:
+            assert delay_sieve(5000, limit) == full
+        least[limit] = failing[0] if failing else None
+    # 703 has the longest glide below 5000, 132 steps, so both branches ran.
+    assert least[1] == 3 and least[131] == 703 and least[132] is None
 
 
 def test_delay_domain_message():

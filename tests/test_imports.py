@@ -72,6 +72,10 @@ def _run_code(argv):
             ["verify", "beta-chain", "--max", "300", "--workers", "1"],
             {"collatz_lab.residues", "collatz_lab.polyline"},
         ),
+        (
+            ["verify", "convergence", "--max", "5000", "--workers", "1"],
+            {"collatz_lab.residues", "collatz_lab.polyline", "collatz_lab.beta_chain"},
+        ),
         (["records", "delay", "--max", "300"], {_SWEEPS}),
         (["tree", "--depth", "5"], {_SWEEPS}),
     ],
@@ -81,6 +85,7 @@ def _run_code(argv):
         "polyline",
         "verify-transitions",
         "verify-beta-chain",
+        "verify-convergence",
         "records-delay",
         "tree",
     ],

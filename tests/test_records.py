@@ -43,7 +43,7 @@ def test_record_contract():
 
     a, b = VerificationReport("probe", 0), VerificationReport("probe", 0)
     assert a == b and a.counterexamples == () and a.passed
-    for default in (a.config, Sweep("sweeps._drop_check", 2, "n_max").config):
+    for default in (a.config, Sweep("core.drop_counterexample", 2, "n_max").config):
         assert type(default) is MappingProxyType
         with pytest.raises(TypeError):
             default["max"] = "1"

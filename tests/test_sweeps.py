@@ -1,4 +1,5 @@
 import errno
+import importlib
 import os
 import re
 import signal
@@ -14,19 +15,23 @@ import pytest
 
 import collatz_lab
 from collatz_lab import beta_chain, blocks, cli, polyline, residues
-from collatz_lab.core import DEFAULT_STEP_LIMIT, glide
+from collatz_lab.core import (
+    DEFAULT_STEP_LIMIT,
+    SIEVE_MODULUS,
+    _descent_steps,
+    _sieve_survivors,
+    _sieved_inputs,
+    drop_counterexample,
+    glide,
+)
 from collatz_lab.errors import DomainError, IdentityViolation, SweepWorkerError
 from collatz_lab.report import Counterexample, export_report
 from collatz_lab.sweeps import (
-    SIEVE_MODULUS,
+    SWEEPS,
     _INDEX,
     _MAX_TOKENS,
     _SPANS_PER_WORKER,
-    _descent_steps,
-    _drop_check,
     _fork_map,
-    _sieve_survivors,
-    _sieved_inputs,
     _spans,
     _verify,
     resolve_workers,
@@ -40,10 +45,10 @@ from collatz_lab.sweeps import (
 
 
 def _raw_convergence(n_max, step_limit):
-    """The convergence sweep without the sieve: _drop_check on every n."""
+    """The convergence sweep without the sieve: drop_counterexample on every n."""
     return run_sweep(
         "verify convergence",
-        partial(_drop_check, step_limit=step_limit),
+        partial(drop_counterexample, step_limit=step_limit),
         2,
         n_max + 1,
         workers=1,
@@ -56,11 +61,11 @@ def _json_without_elapsed(report):
 
 
 def test_drop_check_counts_raw_steps():
-    assert _drop_check(6, step_limit=1) is None
-    assert _drop_check(5, step_limit=2) is not None  # 5 -> 16 -> 8
-    assert _drop_check(5, step_limit=3) is None  # ... -> 4
-    assert _drop_check(27, step_limit=95) is not None
-    assert _drop_check(27, step_limit=96) is None  # glide(27) = 96
+    assert drop_counterexample(6, step_limit=1) is None
+    assert drop_counterexample(5, step_limit=2) is not None  # 5 -> 16 -> 8
+    assert drop_counterexample(5, step_limit=3) is None  # ... -> 4
+    assert drop_counterexample(27, step_limit=95) is not None
+    assert drop_counterexample(27, step_limit=96) is None  # glide(27) = 96
 
 
 def test_sieve_table_claims_hold():
@@ -103,6 +108,29 @@ def test_sieved_convergence_equals_raw_at_small_limits(limit):
     assert sieved.config == raw.config and sieved.checked == raw.checked
 
 
+def test_every_kernel_lives_outside_sweeps():
+    # sweeps is the fork engine and the registry: each kernel is defined in
+    # the module its row names, never in sweeps, and no step of the map is
+    # spelled there.
+    for sweep in SWEEPS.values():
+        module, _, function = sweep.check.rpartition(".")
+        kernel = getattr(importlib.import_module(f"collatz_lab.{module}"), function)
+        assert module != "sweeps" and kernel.__module__ == f"collatz_lab.{module}", sweep
+    source = Path(collatz_lab.sweeps.__file__).read_text()
+    assert re.findall(r"\b3\s*\*\s*\w+\s*\+\s*1\b", source) == []
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [verify_transitions, verify_beta_chains, verify_blocks, verify_polylines, verify_convergence],
+)
+def test_sweeps_take_only_their_top_positionally(sweep):
+    # A second positional argument once meant workers in some sweeps and
+    # step_limit in another; now it is an error in all of them.
+    with pytest.raises(TypeError):
+        sweep(300, 1)
+
+
 def _faulty_make_block(k_in, _real=blocks.make_block):
     b = _real(k_in)
     return b._replace(k_out=b.k_out + 1) if k_in == 27 else b
@@ -136,7 +164,7 @@ _PLANTED = {
     [
         (partial(verify_blocks, 300), "make_block"),
         (partial(verify_blocks, 300, step_limit=20), None),
-        (partial(verify_convergence, 5000, 20), None),
+        (partial(verify_convergence, 5000, step_limit=20), None),
         (partial(verify_transitions, 300), "transition_symbolic"),
         (partial(verify_beta_chains, 300), "solve_beta_chain_paper"),
         (partial(verify_polylines, 300), "t_closed_form"),
@@ -170,7 +198,7 @@ def test_reports_match_at_one_two_and_three_workers(n):
         partial(verify_blocks, n, step_limit=20),
         partial(verify_polylines, n),
         partial(verify_convergence, n + 1),
-        partial(verify_convergence, 50 * n + 1, 20),
+        partial(verify_convergence, 50 * n + 1, step_limit=20),
     ]
     for sweep in sweeps:
         one, two, three = (_json_without_elapsed(sweep(workers=w)) for w in (1, 2, 3))
@@ -180,7 +208,7 @@ def test_reports_match_at_one_two_and_three_workers(n):
 def test_a_failure_heavy_sweep_matches_across_workers():
     # Thousands of rows cross the fork as plain tuples; each comes back a
     # Counterexample of three str, and the report does not depend on w.
-    reports = [verify_convergence(20_000, 1, workers=w) for w in (1, 2, 3)]
+    reports = [verify_convergence(20_000, step_limit=1, workers=w) for w in (1, 2, 3)]
     rows = reports[0].counterexamples
     assert len(rows) > 5000
     assert all(type(c) is Counterexample and all(type(f) is str for f in c) for c in rows)
