@@ -24,7 +24,6 @@ _SOURCES = {
     "BackwardTree": "core",
     "BetaChainSolution": "beta_chain",
     "Block": "blocks",
-    "BlockSequence": "blocks",
     "ClassifiedInt": "residues",
     "CollatzLabError": "errors",
     "Counterexample": "report",

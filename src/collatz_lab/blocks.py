@@ -43,7 +43,6 @@ from .errors import DomainError, IdentityViolation, LimitExceeded
 
 __all__ = [
     "Block",
-    "BlockSequence",
     "make_block",
     "block_path",
     "decompose",
@@ -85,47 +84,6 @@ class Block(NamedTuple):
         return 2 * self.m + self.e + 2
 
 
-class BlockSequence:
-    """Consecutive blocks; each one's k_out feeds the next one's k_in.
-
-    The one record that checks what it holds, so a class, not a NamedTuple:
-    building one whose blocks do not chain raises DomainError."""
-
-    __slots__ = ("blocks",)
-
-    def __init__(self, blocks: list[Block]) -> None:
-        for a, b in zip(blocks, blocks[1:]):
-            if a.k_out != b.k_in:
-                raise DomainError(f"blocks do not chain: k_out {a.k_out} then k_in {b.k_in}")
-        self.blocks = blocks
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.blocks == other.blocks
-
-    def __repr__(self) -> str:
-        return f"BlockSequence(blocks={self.blocks!r})"
-
-    @property
-    def k_seq(self) -> list[int]:
-        """k_0, k_1, ..., k_n — one longer than the block list."""
-        if not self.blocks:
-            return []
-        return [self.blocks[0].k_in] + [b.k_out for b in self.blocks]
-
-    @property
-    def m_seq(self) -> list[int]:
-        return [b.m for b in self.blocks]
-
-    @property
-    def e_seq(self) -> list[int]:
-        return [b.e for b in self.blocks]
-
-
 def make_block(k_in: int) -> Block:
     sol = solve_beta_chain(k_in)
     g = 3 * sol.h
@@ -153,22 +111,24 @@ def _blocks_from(k: int) -> Iterator[Block]:
         k = b.k_out
 
 
-def decompose(k0: int, n_blocks: int) -> BlockSequence:
-    """n_blocks consecutive blocks starting from beta = 4*k0 + 2.
+def decompose(k0: int, n_blocks: int) -> list[Block]:
+    """The first n_blocks blocks of the walk from beta = 4*k0 + 2, in order;
+    each block's k_out is the next one's k_in.
 
-    Once k reaches 0 the sequence keeps repeating the trivial block
+    Once k reaches 0 the list keeps repeating the trivial block
     (m=0, e=1, k_out=0): the walk has entered the 2 -> 1 -> 4 -> 2 loop.
     """
     if n_blocks < 1:
         raise DomainError(f"n_blocks must be >= 1, got {n_blocks}")
-    return BlockSequence(list(islice(_blocks_from(k0), n_blocks)))
+    return list(islice(_blocks_from(k0), n_blocks))
 
 
-def decompose_until_trivial(k0: int, max_blocks: int = 10**5) -> BlockSequence:
-    """Blocks from k0 until the fixed point k = 0 first appears as an output.
+def decompose_until_trivial(k0: int, max_blocks: int = 10**5) -> list[Block]:
+    """The blocks of the walk from k0, in order, up to and including the
+    first whose k_out is the fixed point 0.
 
     Raises DomainError for ``max_blocks < 1``, and LimitExceeded (with the
-    blocks so far attached as ``partial``) if k never hits 0 within
+    list of blocks so far as ``partial``) if k never hits 0 within
     max_blocks — which for any honest k0 just means the budget was too small.
     """
     if max_blocks < 1:
@@ -177,9 +137,9 @@ def decompose_until_trivial(k0: int, max_blocks: int = 10**5) -> BlockSequence:
     for b in islice(_blocks_from(k0), max_blocks):
         out.append(b)
         if b.k_out == 0:
-            return BlockSequence(out)
+            return out
     msg = f"no trivial block after {max_blocks} blocks from k0={k0}"
-    raise LimitExceeded(msg, partial=BlockSequence(out))
+    raise LimitExceeded(msg, partial=out)
 
 
 State = tuple[int, int, int]

@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collatz_lab.beta_chain import chain_path
 from collatz_lab.blocks import (
     Block,
-    BlockSequence,
     block_counterexample,
     block_path,
     block_state,
@@ -110,9 +110,9 @@ def test_block_path_matches_map(k0):
 
 def test_decompose_chains():
     bs = decompose(4, 2)
-    assert bs.k_seq == [4, 3, 6]
-    assert bs.m_seq == [0, 2]
-    assert bs.e_seq == [1, 1]
+    assert [bs[0].k_in] + [b.k_out for b in bs] == [4, 3, 6]
+    assert [b.m for b in bs] == [0, 2]
+    assert [b.e for b in bs] == [1, 1]
 
 
 def test_decompose_requires_a_block():
@@ -122,23 +122,18 @@ def test_decompose_requires_a_block():
 
 def test_decompose_past_zero_repeats_trivial_block():
     bs = decompose(1, 4)
-    assert bs.k_seq == [1, 0, 0, 0, 0]
-    assert bs.blocks[1:] == [Block(0, 0, 0, 0, 1, 0)] * 3
-
-
-def test_block_sequence_rejects_broken_chain():
-    with pytest.raises(DomainError):
-        BlockSequence([make_block(4), make_block(7)])
+    assert [bs[0].k_in] + [b.k_out for b in bs] == [1, 0, 0, 0, 0]
+    assert bs[1:] == [Block(0, 0, 0, 0, 1, 0)] * 3
 
 
 def test_decompose_until_trivial():
     bs = decompose_until_trivial(7)
-    assert bs.blocks[-1].k_out == 0
-    assert 0 not in [b.k_in for b in bs.blocks[1:]]
+    assert bs[-1].k_out == 0
+    assert 0 not in [b.k_in for b in bs[1:]]
     # budget too small -> partial attached
     with pytest.raises(LimitExceeded) as exc:
         decompose_until_trivial(7, max_blocks=1)
-    assert len(exc.value.partial.blocks) == 1
+    assert exc.value.partial == [make_block(7)]
 
 
 def test_decompose_until_trivial_budget_edge():
@@ -147,7 +142,7 @@ def test_decompose_until_trivial_budget_edge():
     says = f"^no trivial block after {n - 1} blocks from k0=7$"
     with pytest.raises(LimitExceeded, match=says) as exc:
         decompose_until_trivial(7, max_blocks=n - 1)
-    assert len(exc.value.partial.blocks) == n - 1
+    assert len(exc.value.partial) == n - 1
     for budget in (0, -1):
         with pytest.raises(DomainError, match=f"^max_blocks must be >= 1, got {budget}$"):
             decompose_until_trivial(7, max_blocks=budget)
@@ -170,9 +165,10 @@ def test_closed_form_spots():
 @given(st.integers(min_value=0, max_value=4000), st.integers(min_value=1, max_value=12))
 def test_closed_form_equals_real_decomposition(k0, n):
     bs = decompose(k0, n)
-    k = k_after(k0, bs.m_seq, bs.e_seq)
-    assert k == bs.blocks[-1].k_out
-    assert k == ref_closed_form_k(k0, bs.m_seq, bs.e_seq)
+    m_seq, e_seq = [b.m for b in bs], [b.e for b in bs]
+    k = k_after(k0, m_seq, e_seq)
+    assert k == bs[-1].k_out
+    assert k == ref_closed_form_k(k0, m_seq, e_seq)
 
 
 @given(
@@ -261,6 +257,18 @@ def test_planted_chain_residues_fails_verify_blocks(monkeypatch):
     report = verify_blocks(10, workers=1)
     assert len(report.counterexamples) == 11
     assert report.counterexamples[0] == Counterexample("0", "path residue 3 (mod 4)", "1 ~ 1 (mod 4)")
+
+
+def test_planted_landing_value_fails_verify_blocks(monkeypatch):
+    def shifted(k, m):
+        path = chain_path(k, m)
+        path[-1] += 4  # the landing alpha stays 1 (mod 4): only its value is off
+        return path
+
+    monkeypatch.setattr("collatz_lab.blocks.chain_path", shifted)
+    report = verify_blocks(20, workers=1)
+    assert len(report.counterexamples) == 21
+    assert report.counterexamples[0] == Counterexample("0", "path value 5 (block k_in=0, offset 1)", "1")
 
 
 def test_block_counterexample_step_limit():

@@ -37,7 +37,7 @@ def test_step_t_basics():
     assert step_t(10) == 5
 
 
-@pytest.mark.parametrize("fn", [step_c, step_t, delay, trajectory])
+@pytest.mark.parametrize("fn", [step_c, step_t, delay, trajectory, preimages_c, delay_sieve])
 def test_domain_guards(fn):
     with pytest.raises(DomainError):
         fn(0)
@@ -211,11 +211,15 @@ def test_delay_sieve_agrees_with_delay():
 def test_delay_records_small():
     table = records_sweep(100, "delay")
     assert table.entries == [(2, 1), (3, 7), (6, 8), (7, 16), (9, 19), (18, 20), (25, 23), (27, 111), (54, 112), (73, 115), (97, 118)]
+    with pytest.raises(DomainError, match=r"^n_max must be >= 2, got 1$"):
+        records_sweep(1, "delay")
 
 
 def test_glide_records_small():
     table = records_sweep(100, "glide")
     assert table.entries == [(2, 1), (3, 6), (7, 11), (27, 96)]
+    with pytest.raises(DomainError, match=r"^n_max must be >= 2, got 1$"):
+        records_sweep(1, "glide")
 
 
 def test_records_rejects_unknown_kind():

@@ -116,7 +116,7 @@ def test_simulated_ok_implies_integral_nonneg(pairs):
     sol = cycle_equation_general(cand)
     if sol.simulated_ok:
         assert sol.is_integer and sol.is_nonneg
-        blocks = decompose(int(sol.k0), cand.n).blocks
+        blocks = decompose(int(sol.k0), cand.n)
         assert [b.m for b in blocks] == list(cand.m_seq)
         assert [b.e for b in blocks] == list(cand.e_seq)
         assert blocks[-1].k_out == sol.k0
@@ -146,7 +146,7 @@ def test_n1_box_known_result(box):
 
 def test_n1_solution_is_the_trivial_loop():
     sol = search_cycles_n1(1, 1)[0]
-    blocks = decompose(int(sol.k0), 1).blocks
+    blocks = decompose(int(sol.k0), 1)
     from collatz_lab.blocks import block_path
 
     assert block_path(blocks[0]) == [2, 1, 4, 2]

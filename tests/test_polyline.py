@@ -123,6 +123,8 @@ def test_cycle_residual_known_values():
     assert cycle_residual([to_polyline(z) for z in (2, 1)]) == 0
     assert cycle_residual([to_polyline(z) for z in (1, 2, 4)]) == -2
     assert cycle_residual([to_polyline(z) for z in (1, 2, 1, 2)]) == 0
+    with pytest.raises(DomainError, match=r"^empty sequence$"):
+        cycle_residual([])
 
 
 @given(st.integers(min_value=1, max_value=6))

@@ -509,17 +509,18 @@ def test_step_limit_below_one_is_a_domain_error(sweep):
 
 
 @pytest.mark.parametrize(
-    "args, message",
+    "call, message",
     [
-        (("nonsense", 5, 1), "unknown sweep 'nonsense'; expected one of ('transitions', "),
-        (("polyline", 5, 1, 3), "step_limit (--limit) does not apply to verify polyline"),
-        (("polyline", 0, 1, 3), "step_limit (--limit) does not apply to verify polyline"),
+        (partial(_verify, "nonsense", 5, 1), "unknown sweep 'nonsense'; expected one of ('transitions', "),
+        (partial(_verify, "polyline", 5, 1, 3), "step_limit (--limit) does not apply to verify polyline"),
+        (partial(_verify, "polyline", 0, 1, 3), "step_limit (--limit) does not apply to verify polyline"),
+        (partial(run_sweep, "probe", lambda z: None, 5, 4), "empty-range sweep: [5, 4)"),
     ],
-    ids=["unknown-name", "limit-not-taken", "limit-checked-before-range"],
+    ids=["unknown-name", "limit-not-taken", "limit-checked-before-range", "empty-range"],
 )
-def test_verify_rejects_what_the_parser_no_longer_checks(args, message):
+def test_verify_rejects_what_the_parser_no_longer_checks(call, message):
     with pytest.raises(DomainError) as info:
-        _verify(*args)
+        call()
     assert str(info.value).startswith(message)
 
 
