@@ -35,10 +35,8 @@ _SOURCES = {
     "LimitExceeded": "errors",
     "PatternMismatch": "errors",
     "Polyline": "polyline",
-    "RecordTable": "core",
     "ResidueClass": "residues",
     "SweepWorkerError": "errors",
-    "Trajectory": "core",
     "VerificationReport": "report",
     "backward_tree": "core",
     "class_from_polyline": "polyline",

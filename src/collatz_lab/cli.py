@@ -127,8 +127,8 @@ def _cmd_classify(args) -> Outcome:
 
 
 def _cmd_trajectory(args) -> Outcome:
-    t = trajectory(args.start, step_limit=args.limit)
-    return None, [" -> ".join(str(v) for v in t.values), f"steps: {t.steps}"]
+    values = trajectory(args.start, step_limit=args.limit)
+    return None, [" -> ".join(str(v) for v in values), f"steps: {len(values) - 1}"]
 
 
 def _cmd_polyline(args) -> Outcome:
@@ -177,17 +177,17 @@ def _cmd_cycles_search(args) -> Outcome:
 
 
 def _cmd_records(args) -> Outcome:
-    table = records_sweep(args.max_value, args.kind, args.limit)
+    entries = records_sweep(args.max_value, args.kind, args.limit)
     report = VerificationReport(
         command=f"records {args.kind}",
         checked=args.max_value - 1,
         config={
             "max": str(args.max_value),
             "limit": str(args.limit),
-            "entries": " ".join(f"{n}:{v}" for n, v in table.entries),
+            "entries": " ".join(f"{n}:{v}" for n, v in entries),
         },
     )
-    return report, [f"{n} {v}" for n, v in table.entries]
+    return report, [f"{n} {v}" for n, v in entries]
 
 
 def _cmd_tree(args) -> Outcome:

@@ -34,7 +34,6 @@ __all__ = [
     "DEFAULT_STEP_LIMIT",
     "step_c",
     "step_t",
-    "Trajectory",
     "trajectory",
     "delay",
     "glide",
@@ -44,7 +43,6 @@ __all__ = [
     "backward_tree",
     "delay_sieve",
     "drop_counterexample",
-    "RecordTable",
     "records_sweep",
 ]
 
@@ -68,23 +66,11 @@ def step_t(z: int) -> int:
     return (3 * z + 1) >> 1 if z & 1 else z >> 1
 
 
-class Trajectory(NamedTuple):
-    """An orbit prefix: values[0] is the start, values[-1] the last point."""
+def trajectory(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
+    """The orbit of z under step_c as a list[int], from z to the first 1.
 
-    start: int
-    values: list[int]
-    reached_one: bool
-
-    @property
-    def steps(self) -> int:
-        return len(self.values) - 1
-
-
-def trajectory(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> Trajectory:
-    """Iterate step_c from z until 1 is reached.
-
-    Raises LimitExceeded (carrying the partial, reached_one=False trajectory)
-    if 1 does not show up within ``step_limit`` steps.
+    Raises LimitExceeded, whose partial is the list so far, if 1 does not
+    show up within ``step_limit`` steps.
     """
     if z < 1:
         raise DomainError(f"trajectory needs z >= 1, got {z}")
@@ -97,22 +83,20 @@ def trajectory(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> Trajectory:
         v = step_c(v)
         values.append(v)
     if v != 1:
-        raise LimitExceeded(
-            f"{z} did not reach 1 within {step_limit} steps",
-            partial=Trajectory(z, values, False),
-        )
-    return Trajectory(z, values, True)
+        raise LimitExceeded(f"{z} did not reach 1 within {step_limit} steps", partial=values)
+    return values
 
 
 def delay(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:
-    """Number of Collatz steps from z to the first 1: the steps of its trajectory.
+    """Number of Collatz steps from z to the first 1, as an int: the steps of
+    its trajectory.
 
     Past ``step_limit`` the LimitExceeded of ``trajectory`` propagates, with
-    its partial orbit.
+    the orbit so far as its partial.
     """
     if z < 1:
         raise DomainError(f"delay needs z >= 1, got {z}")
-    return trajectory(z, step_limit).steps
+    return len(trajectory(z, step_limit)) - 1
 
 
 def glide(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:
@@ -269,17 +253,11 @@ def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int
                 yield base + b
 
 
-class RecordTable(NamedTuple):
-    """Successive maxima of delay or glide, strictly increasing in both n and value."""
-
-    kind: str
-    entries: list[tuple[int, int]]
-
-
 def records_sweep(
     n_max: int, kind: str, step_limit: int = DEFAULT_STEP_LIMIT
-) -> RecordTable:
-    """All n in [2, n_max] whose delay (or glide) beats every smaller n's.
+) -> list[tuple[int, int]]:
+    """All n in [2, n_max] whose delay (or glide) beats every smaller n's, as
+    a list of (n, value) pairs, strictly increasing in both.
 
     Delay uses the memoized ``delay_sieve``; glide is recomputed per n (its
     walk is short: half of all n drop below themselves in one step).
@@ -298,4 +276,4 @@ def records_sweep(
         if v > best:
             best = v
             entries.append((n, v))
-    return RecordTable(kind=kind, entries=entries)
+    return entries

@@ -13,8 +13,11 @@ class LimitExceeded(CollatzLabError):
     """An iteration hit its step budget before finishing.
 
     Carries the partial result when one is available, so callers can see how
-    far the walk got before retrying with a larger budget.  Raised instead of
-    silently truncating: a truncated walk must never look like a verified one.
+    far the walk got before retrying with a larger budget: a walk's
+    ``partial`` is the list so far (the orbit of ``trajectory``, ``delay`` and
+    ``class_sequence``, or the blocks of ``decompose_until_trivial``).  Raised
+    instead of silently truncating: a truncated walk must never look like a
+    verified one.
     """
 
     def __init__(self, message: str, partial=None):

@@ -13,7 +13,6 @@ six class-to-class edges, each guarded by a parity of k.
 
 from __future__ import annotations
 
-from collections import Counter
 from enum import Enum
 from typing import NamedTuple
 
@@ -26,10 +25,8 @@ __all__ = [
     "classify",
     "declassify",
     "transition_symbolic",
-    "ClassSequence",
     "class_sequence",
     "GraphEdge",
-    "TransitionGraph",
     "transition_graph",
     "transition_counterexample",
 ]
@@ -126,28 +123,18 @@ def transition_symbolic(c: ClassifiedInt) -> ClassifiedInt:
     return _new(ClassifiedInt, (dst, a * (k >> 1) + b))
 
 
-class ClassSequence(NamedTuple):
-    """Classes along a Collatz trajectory, with per-class tallies.
+def class_sequence(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[ResidueClass]:
+    """The classes along the trajectory of z, as a list[ResidueClass].
 
     Includes the starting value; excludes the terminal 1 unless the start
     itself is 1 (a bare [alpha] then).
     """
-
-    start: int
-    classes: list[ResidueClass]
-    counts: dict[ResidueClass, int]
-
-
-def class_sequence(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> ClassSequence:
     if z < 1:
         raise DomainError(f"class_sequence needs z >= 1, got {z}")
-    traj = trajectory(z, step_limit)
-    values = traj.values
+    values = trajectory(z, step_limit)
     if len(values) > 1:
         values = values[:-1]  # drop the terminal 1
-    classes = [classify(v).tag for v in values]
-    counts = Counter(classes)
-    return ClassSequence(start=z, classes=classes, counts=dict(counts))
+    return [classify(v).tag for v in values]
 
 
 class GraphEdge(NamedTuple):
@@ -158,15 +145,11 @@ class GraphEdge(NamedTuple):
     parity: str  # "any", "even" or "odd"
 
 
-class TransitionGraph(NamedTuple):
-    edges: frozenset[GraphEdge]
-
-
-def transition_graph() -> TransitionGraph:
-    """The six-edge class graph read off the class table: the main cycle
-    alpha -> gamma -> beta -> alpha, the self-loop gamma -> gamma, and the
-    two-cycle beta <-> eta.  A class whose two parities of k lead to the
-    same class has one edge of parity "any"."""
+def transition_graph() -> frozenset[GraphEdge]:
+    """The six-edge class graph read off the class table, as a
+    frozenset[GraphEdge]: the main cycle alpha -> gamma -> beta -> alpha, the
+    self-loop gamma -> gamma, and the two-cycle beta <-> eta.  A class whose
+    two parities of k lead to the same class has one edge of parity "any"."""
     edges = set()
     for src in ResidueClass:
         even, odd = _TABLE[2 * src.offset - 2][0], _TABLE[2 * src.offset - 1][0]
@@ -174,7 +157,7 @@ def transition_graph() -> TransitionGraph:
             edges.add(GraphEdge(src, even, "any"))
         else:
             edges.update((GraphEdge(src, even, "even"), GraphEdge(src, odd, "odd")))
-    return TransitionGraph(edges=frozenset(edges))
+    return frozenset(edges)
 
 
 def transition_counterexample(z: int) -> tuple[int, int] | None:

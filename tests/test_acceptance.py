@@ -169,7 +169,7 @@ def test_every_start_below_ten_million_reaches_one():
 
 
 def test_delay_records_to_one_million():
-    table = records_sweep(10**6, "delay")
+    entries = records_sweep(10**6, "delay")
 
     # Re-derive 27's delay with a bare loop, independent of the library.
     v, steps = 27, 0
@@ -179,16 +179,16 @@ def test_delay_records_to_one_million():
 
     increasing = all(
         a[0] < b[0] and a[1] < b[1]
-        for a, b in zip(table.entries, table.entries[1:])
+        for a, b in zip(entries, entries[1:])
     )
     ok = (
-        (27, 111) in table.entries
+        (27, 111) in entries
         and steps == 111
         and increasing
-        and table.entries == DELAY_RECORDS_1E6
+        and entries == DELAY_RECORDS_1E6
     )
     _verdict(
         "delay records to 10^6: strictly increasing, (27, 111) present",
         ok,
-        f"{len(table.entries)} records",
+        f"{len(entries)} records",
     )

@@ -55,33 +55,28 @@ def test_t_is_compressed_c(z):
 
 
 def test_trajectory_of_6():
-    t = trajectory(6)
-    assert t.values == [6, 3, 10, 5, 16, 8, 4, 2, 1]
-    assert t.steps == 8
-    assert t.reached_one
+    assert trajectory(6) == [6, 3, 10, 5, 16, 8, 4, 2, 1]
 
 
 def test_trajectory_of_1_is_a_point():
-    t = trajectory(1)
-    assert t.values == [1] and t.steps == 0
+    assert trajectory(1) == [1]
 
 
 def test_trajectory_step_limit_carries_partial():
     with pytest.raises(LimitExceeded) as exc:
         trajectory(27, step_limit=10)
     partial = exc.value.partial
-    assert partial.values[0] == 27
-    assert len(partial.values) == 11
-    assert not partial.reached_one
-    assert partial.values[-1] == brute_c(27, 10)
+    assert partial[0] == 27
+    assert len(partial) == 11
+    assert partial[-1] == brute_c(27, 10)
 
 
 @given(st.integers(min_value=1, max_value=5000))
 def test_trajectory_matches_brute_force(z):
     t = trajectory(z)
-    for i, v in enumerate(t.values):
+    for i, v in enumerate(t):
         assert v == brute_c(z, i)
-    assert t.values[-1] == 1
+    assert t[-1] == 1
 
 
 def test_delay_spots():
@@ -106,11 +101,12 @@ def test_glide_of_1_is_undefined():
 # 27 reaches 1 in 111 steps and first drops below itself in 96: each walk
 # must pass at exactly its count and raise one step short of it.
 def test_walks_to_1_at_their_budget_edge():
-    assert delay(27, 111) == trajectory(27, step_limit=111).steps == 111
-    assert len(class_sequence(27, 111).classes) == 111
+    assert delay(27, 111) == len(trajectory(27, step_limit=111)) - 1 == 111
+    assert len(class_sequence(27, 111)) == 111
     for walk in (delay, lambda z, n: trajectory(z, step_limit=n), class_sequence):
-        with pytest.raises(LimitExceeded, match="^27 did not reach 1 within 110 steps$"):
+        with pytest.raises(LimitExceeded, match="^27 did not reach 1 within 110 steps$") as exc:
             walk(27, 110)
+        assert exc.value.partial == trajectory(27)[:111]
 
 
 def test_drop_walks_at_their_budget_edge():
@@ -209,15 +205,13 @@ def test_delay_sieve_agrees_with_delay():
 
 
 def test_delay_records_small():
-    table = records_sweep(100, "delay")
-    assert table.entries == [(2, 1), (3, 7), (6, 8), (7, 16), (9, 19), (18, 20), (25, 23), (27, 111), (54, 112), (73, 115), (97, 118)]
+    assert records_sweep(100, "delay") == [(2, 1), (3, 7), (6, 8), (7, 16), (9, 19), (18, 20), (25, 23), (27, 111), (54, 112), (73, 115), (97, 118)]
     with pytest.raises(DomainError, match=r"^n_max must be >= 2, got 1$"):
         records_sweep(1, "delay")
 
 
 def test_glide_records_small():
-    table = records_sweep(100, "glide")
-    assert table.entries == [(2, 1), (3, 6), (7, 11), (27, 96)]
+    assert records_sweep(100, "glide") == [(2, 1), (3, 6), (7, 11), (27, 96)]
     with pytest.raises(DomainError, match=r"^n_max must be >= 2, got 1$"):
         records_sweep(1, "glide")
 
@@ -243,7 +237,7 @@ def test_step_limit_below_one_is_a_domain_error(fn, arg, limit):
 @settings(max_examples=25)
 @given(st.integers(min_value=2, max_value=4000))
 def test_records_are_strict_maxima(n_max):
-    entries = records_sweep(n_max, "delay").entries
+    entries = records_sweep(n_max, "delay")
     values = [v for _, v in entries]
     ns = [n for n, _ in entries]
     assert values == sorted(set(values))
