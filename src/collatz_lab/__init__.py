@@ -22,9 +22,7 @@ __version__ = "0.1.0"
 _SOURCES = {
     "DEFAULT_STEP_LIMIT": "core",
     "BackwardTree": "core",
-    "BetaChainSolution": "beta_chain",
     "Block": "blocks",
-    "ClassifiedInt": "residues",
     "CollatzLabError": "errors",
     "Counterexample": "report",
     "CycleCandidate": "cycles",
@@ -34,7 +32,6 @@ _SOURCES = {
     "InvalidPolyline": "errors",
     "LimitExceeded": "errors",
     "PatternMismatch": "errors",
-    "Polyline": "polyline",
     "ResidueClass": "residues",
     "SweepWorkerError": "errors",
     "VerificationReport": "report",

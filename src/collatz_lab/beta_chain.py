@@ -16,14 +16,10 @@ value, checking each eta and the landing on 4h+1.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
-from .core import _new
 from .errors import DomainError
 
 __all__ = [
     "v2",
-    "BetaChainSolution",
     "solve_beta_chain",
     "solve_beta_chain_paper",
     "chain_path",
@@ -39,35 +35,21 @@ def v2(n: int) -> int:
     return (n & -n).bit_length() - 1
 
 
-class BetaChainSolution(NamedTuple):
-    k: int
-    m: int
-    h: int
-
-    @property
-    def beta(self) -> int:
-        return 4 * self.k + 2
-
-    @property
-    def alpha(self) -> int:
-        return 4 * self.h + 1
-
-    @property
-    def steps(self) -> int:
-        return 2 * self.m + 1
+# The solution (k, m, h): beta = 4k+2 climbs in 2m+1 steps to alpha = 4h+1.
+Solution = tuple[int, int, int]
 
 
-def solve_beta_chain(k: int) -> BetaChainSolution:
+def solve_beta_chain(k: int) -> Solution:
     """Chain exponents for beta = 4k+2 via the 2-adic valuation of k+1."""
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     m = v2(k + 1)
     odd = (k + 1) >> m
     h = (odd * 3**m - 1) >> 1
-    return _new(BetaChainSolution, (k, m, h))
+    return k, m, h
 
 
-def solve_beta_chain_paper(k: int) -> BetaChainSolution:
+def solve_beta_chain_paper(k: int) -> Solution:
     """Same solution, computed by the explicit halving case ladder.
 
     k even: the identity forces m = 0 outright.  Otherwise write
@@ -87,7 +69,7 @@ def solve_beta_chain_paper(k: int) -> BetaChainSolution:
             t >>= 1
             m += 1
     h = (t * 3**m - 1) >> 1
-    return _new(BetaChainSolution, (k, m, h))
+    return k, m, h
 
 
 def chain_path(k: int, m: int) -> list[int]:

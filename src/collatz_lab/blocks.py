@@ -68,16 +68,8 @@ class Block(NamedTuple):
         return 4 * self.k_in + 2
 
     @property
-    def alpha(self) -> int:
-        return 4 * self.h + 1
-
-    @property
     def gamma(self) -> int:
         return 4 * self.g + 4
-
-    @property
-    def beta_out(self) -> int:
-        return 4 * self.k_out + 2
 
     @property
     def steps(self) -> int:
@@ -85,16 +77,17 @@ class Block(NamedTuple):
 
 
 def make_block(k_in: int) -> Block:
-    sol = solve_beta_chain(k_in)
-    g = 3 * sol.h
+    _, m, h = solve_beta_chain(k_in)
+    g = 3 * h
     e = v2(4 * g + 4) - 1
     k_out = ((4 * g + 4 >> e) - 2) >> 2
-    return Block(k_in, sol.m, sol.h, g, e, k_out)
+    return Block(k_in, m, h, g, e, k_out)
 
 
 def block_path(b: Block) -> list[int]:
-    """All 2m+e+3 trajectory values of the block, beta_in..beta_out inclusive,
-    generated arithmetically rather than by iterating the map."""
+    """All 2m+e+3 trajectory values of the block, from beta_in = 4k_in + 2
+    to the next beta, 4k_out + 2, inclusive, generated arithmetically rather
+    than by iterating the map."""
     path = chain_path(b.k_in, b.m)
     gam = b.gamma
     for j in range(b.e + 1):

@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_classify(args) -> Outcome:
     from .residues import classify
 
-    c = classify(args.z)
-    return None, [f"{args.z} = {c.tag.symbol} (k={c.k})"]
+    tag, k = classify(args.z)
+    return None, [f"{args.z} = {tag.symbol} (k={k})"]
 
 
 def _cmd_trajectory(args) -> Outcome:
@@ -135,7 +135,8 @@ def _cmd_polyline(args) -> Outcome:
     from .polyline import class_from_polyline, to_polyline
 
     p = to_polyline(args.z)
-    return None, [f"{args.z} = (x={p.x}, s={p.s}) {class_from_polyline(p).symbol}"]
+    x, s = p
+    return None, [f"{args.z} = (x={x}, s={s}) {class_from_polyline(p).symbol}"]
 
 
 def _cmd_verify(args) -> Outcome:

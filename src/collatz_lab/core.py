@@ -12,9 +12,6 @@ Each runs once per input of a sweep or a record table, where most walks end
 within a few steps, so a call per step would cost more than the walk.  The
 first three walk the descent rule (n falls below itself within a step limit);
 ``_descent_steps``, the convergence sweep's sieve, proves it by class mod 2^12.
-
-``_new`` is the one alias of the tuple constructor, with which every module
-builds its per-input records.
 """
 
 from __future__ import annotations
@@ -27,8 +24,6 @@ from .errors import DomainError, LimitExceeded
 DEFAULT_STEP_LIMIT = 100_000
 SIEVE_BITS = 12
 SIEVE_MODULUS = 1 << SIEVE_BITS
-
-_new = tuple.__new__  # builds a NamedTuple without its Python-level __new__
 
 __all__ = [
     "DEFAULT_STEP_LIMIT",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, NamedTuple, Sequence
 
-from .core import _new, step_t
+from .core import step_t
 from .errors import DomainError, IdentityViolation, InvalidPolyline, PatternMismatch
 from .residues import ResidueClass, classify
 
@@ -35,7 +35,6 @@ if TYPE_CHECKING:  # only shape_residual computes with fractions
     from fractions import Fraction
 
 __all__ = [
-    "Polyline",
     "to_polyline",
     "from_polyline",
     "class_from_polyline",
@@ -51,33 +50,28 @@ __all__ = [
 ]
 
 
-class Polyline(NamedTuple):
-    """Vertex counts: x under vertices, s upper vertices, z = x + s - 1."""
-
-    x: int
-    s: int
-
-    @property
-    def z(self) -> int:
-        return self.x + self.s - 1
+# Vertex counts (x, s): x under vertices, s upper vertices, z = x + s - 1.
+# Every function below that takes a point takes any (x, s) pair.
+Point = tuple[int, int]
 
 
-def to_polyline(z: int) -> Polyline:
+def to_polyline(z: int) -> Point:
+    """The (x, s) of z, as a plain tuple."""
     if z < 1:
         raise DomainError(f"to_polyline needs z >= 1, got {z}")
     if z & 1:
         half = (z + 1) >> 1
-        return _new(Polyline, (half, half))
-    return _new(Polyline, ((z >> 1) + 1, z >> 1))
+        return half, half
+    return (z >> 1) + 1, z >> 1
 
 
-def _check_valid(p: Polyline) -> None:
+def _check_valid(p: Point) -> None:
     x, s = p
     if s < 1 or not 0 <= x - s <= 1:
         raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
 
 
-def from_polyline(p: Polyline) -> int:
+def from_polyline(p: Point) -> int:
     """Inverse of to_polyline; rejects count pairs that fit no integer."""
     _check_valid(p)
     x, s = p
@@ -88,31 +82,33 @@ def from_polyline(p: Polyline) -> int:
 _BY_PARITIES = (ResidueClass.ETA, ResidueClass.GAMMA, ResidueClass.BETA, ResidueClass.ALPHA)
 
 
-def class_from_polyline(p: Polyline) -> ResidueClass:
+def class_from_polyline(p: Point) -> ResidueClass:
     """Mod-4 class read off the parities of the two counts."""
     _check_valid(p)
     x, s = p
     return _BY_PARITIES[2 * (s & 1) + (x & 1)]
 
 
-def t_closed_form(p: Polyline) -> int:
+def t_closed_form(p: Point) -> int:
     """The shortcut map evaluated purely in coordinates."""
     x, s = p
     return ((2 * (1 - x + s) + 1) * (x + s - 1) + 1 - (x - s)) // 2
 
 
-def step_T_polyline(p: Polyline) -> Polyline:
+def step_T_polyline(p: Point) -> Point:
     """One shortcut step in coordinates, with the step law checked.
 
     Raises IdentityViolation when the step law does not balance."""
     _check_valid(p)
+    x, s = p
     p1 = to_polyline(t_closed_form(p))
-    if p1.x + p1.s != (p.x + p.s) + p.x - p.x * p.x + p.s * p.s:
-        raise IdentityViolation(f"step law violated at {p}")
+    x1, s1 = p1
+    if x1 + s1 != (x + s) + x - x * x + s * s:
+        raise IdentityViolation(f"step law violated at (x={x}, s={s})")
     return p1
 
 
-def walk_polylines(z: int, count: int) -> list[Polyline]:
+def walk_polylines(z: int, count: int) -> list[Point]:
     """count successive points of the T-walk from z, starting at z itself."""
     if count < 1:
         raise DomainError(f"count must be >= 1, got {count}")
@@ -122,7 +118,7 @@ def walk_polylines(z: int, count: int) -> list[Polyline]:
     return pts
 
 
-def cycle_residual(seq: Sequence[Polyline]) -> int:
+def cycle_residual(seq: Sequence[Point]) -> int:
     """sum x_j + sum (s_j + x_j)(s_j - x_j); zero on every genuine T-cycle."""
     if not seq:
         raise DomainError("empty sequence")
@@ -157,16 +153,16 @@ _BOUNDARY_CLASSES = {
 SHAPE_PATTERNS = tuple(_BOUNDARY_CLASSES)
 
 
-def _tail_sum(seq: Sequence[Polyline], tail: range) -> int:
+def _tail_sum(seq: Sequence[Point], tail: range) -> int:
     total = 0
     for j in tail:
-        p = seq[j]
-        total += p.x + (p.s + p.x) * (p.s - p.x)
+        x, s = seq[j]
+        total += x + (s + x) * (s - x)
     return total
 
 
 def shape_residual(
-    seq: Sequence[Polyline], pattern: str, tail: range | None = None
+    seq: Sequence[Point], pattern: str, tail: range | None = None
 ) -> ShapeReport:
     """Evaluate one shape's boundary identities and residual sum.
 
@@ -206,9 +202,9 @@ def shape_residual(
     n = len(seq)
     if tail is None:
         tail = range(2, n if pattern == "pure_ab" else n - 1)
-    x0, s0 = seq[0].x, seq[0].s
-    x1, s1 = seq[1].x, seq[1].s
-    xl, sl = seq[-1].x, seq[-1].s
+    x0, s0 = seq[0]
+    x1, s1 = seq[1]
+    xl, sl = seq[-1]
 
     if pattern == "pure_ab":
         boundaries = [

@@ -16,12 +16,11 @@ from __future__ import annotations
 from enum import Enum
 from typing import NamedTuple
 
-from .core import DEFAULT_STEP_LIMIT, _new, step_c, trajectory
+from .core import DEFAULT_STEP_LIMIT, step_c, trajectory
 from .errors import DomainError
 
 __all__ = [
     "ResidueClass",
-    "ClassifiedInt",
     "classify",
     "declassify",
     "transition_symbolic",
@@ -60,26 +59,25 @@ _A, _B, _E, _G = ResidueClass
 _BY_RESIDUE = (_A, _B, _E, _G)  # indexed by (z - 1) & 3
 
 
-class ClassifiedInt(NamedTuple):
-    """A positive integer written as 4k + offset(tag)."""
+# A positive integer written as 4k + offset(tag): the pair (tag, k).  It is
+# a plain tuple, which CPython builds, unpacks and frees on fast paths that
+# no tuple subclass gets.
+Classified = tuple[ResidueClass, int]
 
-    tag: ResidueClass
-    k: int
 
-
-def classify(z: int) -> ClassifiedInt:
+def classify(z: int) -> Classified:
     """The unique (tag, k) with z = 4k + offset(tag), k >= 0."""
     if z < 1:
         raise DomainError(f"classify needs z >= 1, got {z}")
     z -= 1
-    return _new(ClassifiedInt, (_BY_RESIDUE[z & 3], z >> 2))
+    return _BY_RESIDUE[z & 3], z >> 2
 
 
 def _not_a_class(tag: object) -> DomainError:
     return DomainError(f"tag must be a ResidueClass, got {tag!r}")
 
 
-def declassify(c: ClassifiedInt) -> int:
+def declassify(c: Classified) -> int:
     """Inverse of classify: 4k + offset(tag)."""
     tag, k = c
     if k < 0:
@@ -100,7 +98,7 @@ _TABLE = (
 )
 
 
-def transition_symbolic(c: ClassifiedInt) -> ClassifiedInt:
+def transition_symbolic(c: Classified) -> Classified:
     """Classification of step_c(z) computed from (tag, parity of k) alone.
 
     With k = 2l or 2l+1 the case table is
@@ -120,7 +118,7 @@ def transition_symbolic(c: ClassifiedInt) -> ClassifiedInt:
         dst, a, b = _TABLE[2 * tag.offset - 2 + (k & 1)]
     except AttributeError:
         raise _not_a_class(tag) from None
-    return _new(ClassifiedInt, (dst, a * (k >> 1) + b))
+    return dst, a * (k >> 1) + b
 
 
 def class_sequence(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[ResidueClass]:
@@ -134,7 +132,7 @@ def class_sequence(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[Residue
     values = trajectory(z, step_limit)
     if len(values) > 1:
         values = values[:-1]  # drop the terminal 1
-    return [classify(v).tag for v in values]
+    return [tag for tag, _ in map(classify, values)]
 
 
 class GraphEdge(NamedTuple):

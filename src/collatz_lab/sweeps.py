@@ -62,7 +62,7 @@ from functools import partial
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, NoReturn, Sequence, TypeVar
 
-from .core import DEFAULT_STEP_LIMIT, _check_step_limit, _new, _sieve_survivors, _sieved_inputs
+from .core import DEFAULT_STEP_LIMIT, _check_step_limit, _sieve_survivors, _sieved_inputs
 from .errors import DomainError, SweepWorkerError
 from .report import Counterexample, VerificationReport
 
@@ -350,7 +350,7 @@ def run_sweep(
     start = time.perf_counter()
     spans = _spans(lo, hi, _SPANS_PER_WORKER * w)
     parts = _fork_map(lambda span: _scan(check, inputs, *span), spans, w, _span_names)
-    rows = [_new(Counterexample, row) for part in parts for row in part]
+    rows = [Counterexample._make(row) for part in parts for row in part]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(
         command=command,

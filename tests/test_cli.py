@@ -11,7 +11,6 @@ from collatz_lab import cli, cycles
 from collatz_lab.core import DEFAULT_STEP_LIMIT
 from collatz_lab.errors import DomainError
 from collatz_lab.report import Counterexample, VerificationReport, export_report
-from collatz_lab.residues import ClassifiedInt
 from collatz_lab.sweeps import (
     SWEEPS,
     resolve_workers,
@@ -189,7 +188,8 @@ def test_every_exported_name_resolves():
 
 def test_corrupted_transition_table_exits_2(monkeypatch, capsys):
     def scrambled(c):
-        return ClassifiedInt(c.tag, c.k + 1)
+        tag, k = c
+        return (tag, k + 1)
 
     monkeypatch.setattr("collatz_lab.residues.transition_symbolic", scrambled)
     code = run("verify", "transitions", "--max", "30", "--workers", "1", "--format", "json")
@@ -355,6 +355,13 @@ def test_export_csv_rows():
 def test_export_text_verdicts():
     assert b"result: PASS" in export_report(_report(0), "text")
     assert b"result: FAIL" in export_report(_report(1), "text")
+
+
+@pytest.mark.parametrize("n_bad,more", [(20, []), (21, ["  ... 1 more"])])
+def test_export_text_lists_at_most_twenty(n_bad, more):
+    lines = export_report(_report(n_bad), "text").decode().splitlines()
+    listed = [line for line in lines if line.startswith("  ")]
+    assert listed == [f"  {i}: expected x, got y" for i in range(20)] + more
 
 
 def test_export_unknown_format():

@@ -661,6 +661,25 @@ def test_planted_simulation_fault_surfaces(monkeypatch, capsys):
     assert "unsimulated" in capsys.readouterr().out
 
 
+@pytest.mark.usefixtures("split_any_box")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_planted_block_fault_fails_the_simulation(workers, monkeypatch, capsys):
+    # The closures come from closing_blocks, which never calls make_block,
+    # so only the replay of each solution through real blocks sees this.
+    def off_at_zero(k_in, _real=make_block):
+        b = _real(k_in)
+        return b._replace(k_out=b.k_out + 1) if k_in == 0 else b
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(workers)), raising=False)
+    monkeypatch.setattr(blocks, "make_block", off_at_zero)
+    sols = search_cycles(3, 12)
+    assert [(s.candidate.n, s.k0) for s in sols] == [(1, 0), (2, 0), (3, 0)]
+    assert not any(s.simulated_ok for s in sols)
+    assert cli.run(["cycles", "search", "--n-max", "3", "--budget", "12"]) == 2
+    out = capsys.readouterr().out
+    assert out.count(" unsimulated\n") == 3 and " ok\n" not in out
+
+
 def test_vanishing_closure_raises_under_optimize():
     # The walks step by cycles._extend, the closures by blocks.block_step.
     # The searches take every closure from blocks.closing_blocks: from the

@@ -1,12 +1,14 @@
 """The lean check kernels against the slow bodies they replaced.
 
-The reference bodies below are the Enum-dispatch, NamedTuple-constructor and
-divmod versions of the class table, the two beta-chain solvers and the
-polyline coordinates, and the three sweep kernels as they were before the
-fast paths.  The reference kernels call the library's public functions
-through their modules, exactly as the fast kernels do, so a fault planted in
-one of those functions reaches both, and both must then report the same
-counterexample, message strings included.
+The reference bodies below are the Enum-dispatch and divmod versions of the
+class table, the two beta-chain solvers and the polyline coordinates, and
+the three sweep kernels as they were before the fast paths.  They return
+plain tuples, as the fast paths must: a tuple subclass misses CPython's
+exact-tuple fast paths, and ``_same`` tells the two apart.  The reference
+kernels call the library's public functions through their modules, exactly
+as the fast kernels do, so a fault planted in one of those functions reaches
+both, and both must then report the same counterexample, message strings
+included.
 """
 
 from fractions import Fraction
@@ -14,11 +16,10 @@ from fractions import Fraction
 import pytest
 
 from collatz_lab import beta_chain, polyline, residues
-from collatz_lab.beta_chain import BetaChainSolution, v2
+from collatz_lab.beta_chain import v2
 from collatz_lab.core import step_c, step_t
 from collatz_lab.errors import DomainError, InvalidPolyline
-from collatz_lab.polyline import Polyline
-from collatz_lab.residues import ClassifiedInt, ResidueClass
+from collatz_lab.residues import ResidueClass
 
 TRANSITION_RANGE = range(1, 10**5 + 1)
 CHAIN_RANGE = range(0, 130_001)
@@ -33,13 +34,14 @@ def ref_classify(z):
     if z < 1:
         raise DomainError(f"classify needs z >= 1, got {z}")
     k, r = divmod(z - 1, 4)
-    return ClassifiedInt(_OFFSET_TO_CLASS[r + 1], k)
+    return (_OFFSET_TO_CLASS[r + 1], k)
 
 
 def ref_declassify(c):
-    if c.k < 0:
-        raise DomainError(f"index k must be >= 0, got {c.k}")
-    return 4 * c.k + c.tag.value
+    tag, k = c
+    if k < 0:
+        raise DomainError(f"index k must be >= 0, got {k}")
+    return 4 * k + tag.value
 
 
 def ref_transition_symbolic(c):
@@ -48,12 +50,12 @@ def ref_transition_symbolic(c):
         raise DomainError(f"index k must be >= 0, got {k}")
     l, odd = divmod(k, 2)
     if tag is ResidueClass.ALPHA:
-        return ClassifiedInt(ResidueClass.GAMMA, 6 * l + 3 if odd else 6 * l)
+        return (ResidueClass.GAMMA, 6 * l + 3 if odd else 6 * l)
     if tag is ResidueClass.BETA:
-        return ClassifiedInt(ResidueClass.ETA if odd else ResidueClass.ALPHA, l)
+        return (ResidueClass.ETA if odd else ResidueClass.ALPHA, l)
     if tag is ResidueClass.ETA:
-        return ClassifiedInt(ResidueClass.BETA, 6 * l + 5 if odd else 6 * l + 2)
-    return ClassifiedInt(ResidueClass.GAMMA if odd else ResidueClass.BETA, l)
+        return (ResidueClass.BETA, 6 * l + 5 if odd else 6 * l + 2)
+    return (ResidueClass.GAMMA if odd else ResidueClass.BETA, l)
 
 
 def ref_solve_beta_chain(k):
@@ -62,7 +64,7 @@ def ref_solve_beta_chain(k):
     m = v2(k + 1)
     odd = (k + 1) >> m
     h = (odd * 3**m - 1) >> 1
-    return BetaChainSolution(k, m, h)
+    return (k, m, h)
 
 
 def ref_solve_beta_chain_paper(k):
@@ -78,7 +80,7 @@ def ref_solve_beta_chain_paper(k):
             t //= 2
             m += 1
     h = (t * 3**m - 1) // 2
-    return BetaChainSolution(k, m, h)
+    return (k, m, h)
 
 
 def ref_to_polyline(z):
@@ -86,16 +88,17 @@ def ref_to_polyline(z):
         raise DomainError(f"to_polyline needs z >= 1, got {z}")
     if z & 1:
         half = (z + 1) >> 1
-        return Polyline(half, half)
-    return Polyline((z >> 1) + 1, z >> 1)
+        return (half, half)
+    return ((z >> 1) + 1, z >> 1)
 
 
 def ref_class_from_polyline(p):
-    if p.s < 1 or p.x not in (p.s, p.s + 1):
-        raise InvalidPolyline(f"(x={p.x}, s={p.s}) describes no positive integer")
-    if p.s & 1:
-        return ResidueClass.ALPHA if p.x & 1 else ResidueClass.BETA
-    return ResidueClass.GAMMA if p.x & 1 else ResidueClass.ETA
+    x, s = p
+    if s < 1 or x not in (s, s + 1):
+        raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
+    if s & 1:
+        return ResidueClass.ALPHA if x & 1 else ResidueClass.BETA
+    return ResidueClass.GAMMA if x & 1 else ResidueClass.ETA
 
 
 def ref_transition_counterexample(z):
@@ -109,12 +112,15 @@ def ref_transition_counterexample(z):
 def ref_chain_counterexample(k):
     sol = beta_chain.solve_beta_chain(k)
     ladder = beta_chain.solve_beta_chain_paper(k)
+    _, m, h = sol
     if sol != ladder:
-        return (f"(m,h)={(sol.m, sol.h)}", f"ladder gave {(ladder.m, ladder.h)}")
-    if (k + 1) * 3**sol.m != (2 * sol.h + 1) * 2**sol.m:
+        _, ladder_m, ladder_h = ladder
+        return (f"(m,h)={(m, h)}", f"ladder gave {(ladder_m, ladder_h)}")
+    if (k + 1) * 3**m != (2 * h + 1) * 2**m:
         return ("(k+1)*3^m == (2h+1)*2^m", "exact identity violated")
+    alpha = 4 * h + 1
     v = 4 * k + 2
-    for j in range(sol.steps):
+    for j in range(2 * m + 1):
         r = v & 3
         if j % 2 == 0:
             if r != 2:
@@ -122,8 +128,8 @@ def ref_chain_counterexample(k):
         elif r != 3:
             return (f"eta at chain step {j}", f"value {v} = 4k+{r or 4}")
         v = 3 * v + 1 if v & 1 else v >> 1
-    if v != sol.alpha or v & 3 != 1:
-        return (f"landing {sol.alpha}", str(v))
+    if v != alpha or v & 3 != 1:
+        return (f"landing {alpha}", str(v))
     return None
 
 
@@ -131,16 +137,18 @@ def ref_polyline_counterexample(z):
     p = polyline.to_polyline(z)
     if polyline.from_polyline(p) != z:
         return (str(z), f"roundtrip gave {polyline.from_polyline(p)}")
-    if polyline.class_from_polyline(p) is not polyline.classify(z).tag:
+    tag, _ = polyline.classify(z)
+    if polyline.class_from_polyline(p) is not tag:
         return (
-            f"class {polyline.classify(z).tag.ascii_name}",
+            f"class {tag.ascii_name}",
             polyline.class_from_polyline(p).ascii_name,
         )
     z1 = polyline.t_closed_form(p)
     if z1 != step_t(z):
         return (f"T({z}) = {step_t(z)}", f"closed form gave {z1}")
-    p1 = polyline.to_polyline(z1)
-    if p1.x + p1.s != (p.x + p.s) + p.x - p.x * p.x + p.s * p.s:
+    x, s = p
+    x1, s1 = polyline.to_polyline(z1)
+    if x1 + s1 != (x + s) + x - x * x + s * s:
         return ("step law balance", f"violated at z={z}")
     return None
 
@@ -189,7 +197,7 @@ def test_polyline_kernel_equals_reference():
     assert got == [ref_polyline_counterexample(z) for z in POLYLINE_RANGE]
 
 
-@pytest.mark.parametrize("bad", [Polyline(5, 3), Polyline(1, 2), Polyline(0, 0), Polyline(3, 0)])
+@pytest.mark.parametrize("bad", [(5, 3), (1, 2), (0, 0), (3, 0)])
 def test_invalid_polylines_rejected_alike(bad):
     with pytest.raises(InvalidPolyline) as fast:
         polyline.class_from_polyline(bad)
@@ -215,22 +223,22 @@ def _wrong_chain(sol, dm):
     k, m, _ = sol
     m += dm
     h = ((k + 1) * Fraction(3, 2) ** m - 1) / 2
-    return BetaChainSolution(k, m, h)
+    return (k, m, h)
 
 
 def _is_class(tag, k):
-    return lambda c: c.tag is tag and c.k == k
+    return lambda c: c == (tag, k)
 
 
 _FAULTS = {
     "transition-symbolic": [
         (residues, "transition_symbolic",
          _at(residues.transition_symbolic, _is_class(ResidueClass.ETA, 6),
-             lambda c: c._replace(k=c.k + 1))),
+             lambda c: (c[0], c[1] + 1))),
     ],
     "transition-classify": [
         (residues, "classify",
-         _at(residues.classify, lambda z: z == 1000, lambda c: c._replace(tag=ResidueClass.BETA))),
+         _at(residues.classify, lambda z: z == 1000, lambda c: (ResidueClass.BETA, c[1]))),
     ],
     "transition-declassify": [
         (residues, "declassify",
@@ -239,11 +247,11 @@ _FAULTS = {
     "chain-ladder": [
         (beta_chain, "solve_beta_chain_paper",
          _at(beta_chain.solve_beta_chain_paper, lambda k: k == 27,
-             lambda s: s._replace(h=s.h + 1))),
+             lambda s: (s[0], s[1], s[2] + 1))),
     ],
     "chain-identity": [
         (beta_chain, name, _at(getattr(beta_chain, name), lambda k: k == 27,
-                               lambda s: s._replace(h=s.h + 1)))
+                               lambda s: (s[0], s[1], s[2] + 1)))
         for name in ("solve_beta_chain", "solve_beta_chain_paper")
     ],
     "chain-too-long": [
@@ -266,7 +274,7 @@ _FAULTS = {
     ],
     "polyline-classify": [
         (polyline, "classify",
-         _at(polyline.classify, lambda z: z == 33, lambda c: c._replace(tag=ResidueClass.ETA))),
+         _at(polyline.classify, lambda z: z == 33, lambda c: (ResidueClass.ETA, c[1]))),
     ],
     "polyline-closed-form": [
         (polyline, "t_closed_form",
@@ -275,7 +283,7 @@ _FAULTS = {
     "polyline-step-law": [
         # T(27) = 41: only the point reached from 27 is off
         (polyline, "to_polyline",
-         _at(polyline.to_polyline, lambda z: z == 41, lambda p: Polyline(p.x + 2, p.s + 2))),
+         _at(polyline.to_polyline, lambda z: z == 41, lambda p: (p[0] + 2, p[1] + 2))),
     ],
 }
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from collatz_lab.core import step_c, trajectory
 from collatz_lab.errors import DomainError
 from collatz_lab.residues import (
-    ClassifiedInt,
     GraphEdge,
     ResidueClass,
     class_sequence,
@@ -40,7 +39,7 @@ _EDGES = frozenset(
     [(1, A, 0), (2, B, 0), (3, E, 0), (4, G, 0), (5, A, 1), (100, G, 24), (27, E, 6)],
 )
 def test_classify_spots(z, tag, k):
-    assert classify(z) == ClassifiedInt(tag, k)
+    assert classify(z) == (tag, k)
 
 
 def test_classify_rejects_nonpositive():
@@ -55,7 +54,7 @@ def test_classify_roundtrip(z):
 
 @given(st.sampled_from(list(ResidueClass)), st.integers(min_value=0, max_value=10**40))
 def test_declassify_roundtrip(tag, k):
-    assert classify(declassify(ClassifiedInt(tag, k))) == (tag, k)
+    assert classify(declassify((tag, k))) == (tag, k)
 
 
 @given(st.integers(min_value=1, max_value=10**40))
@@ -66,14 +65,14 @@ def test_symbolic_transition_matches_map(z):
 
 def test_symbolic_transition_case_table():
     # one spot check per (class, parity-of-k) cell
-    assert transition_symbolic(ClassifiedInt(A, 2)) == (G, 6)  # 9 -> 28
-    assert transition_symbolic(ClassifiedInt(A, 1)) == (G, 3)  # 5 -> 16
-    assert transition_symbolic(ClassifiedInt(B, 2)) == (A, 1)  # 10 -> 5
-    assert transition_symbolic(ClassifiedInt(B, 1)) == (E, 0)  # 6 -> 3
-    assert transition_symbolic(ClassifiedInt(E, 0)) == (B, 2)  # 3 -> 10
-    assert transition_symbolic(ClassifiedInt(E, 1)) == (B, 5)  # 7 -> 22
-    assert transition_symbolic(ClassifiedInt(G, 0)) == (B, 0)  # 4 -> 2
-    assert transition_symbolic(ClassifiedInt(G, 1)) == (G, 0)  # 8 -> 4
+    assert transition_symbolic((A, 2)) == (G, 6)  # 9 -> 28
+    assert transition_symbolic((A, 1)) == (G, 3)  # 5 -> 16
+    assert transition_symbolic((B, 2)) == (A, 1)  # 10 -> 5
+    assert transition_symbolic((B, 1)) == (E, 0)  # 6 -> 3
+    assert transition_symbolic((E, 0)) == (B, 2)  # 3 -> 10
+    assert transition_symbolic((E, 1)) == (B, 5)  # 7 -> 22
+    assert transition_symbolic((G, 0)) == (B, 0)  # 4 -> 2
+    assert transition_symbolic((G, 1)) == (G, 0)  # 8 -> 4
 
 
 def test_member_attributes():
@@ -87,16 +86,16 @@ def test_member_attributes():
 def test_non_class_tag_rejected(tag):
     # a bare offset in the tag slot once fell through to the gamma row
     with pytest.raises(DomainError, match="ResidueClass"):
-        transition_symbolic(ClassifiedInt(tag, 3))
+        transition_symbolic((tag, 3))
     with pytest.raises(DomainError, match="ResidueClass"):
-        declassify(ClassifiedInt(tag, 3))
+        declassify((tag, 3))
 
 
 def test_negative_index_rejected():
     with pytest.raises(DomainError):
-        transition_symbolic(ClassifiedInt(A, -1))
+        transition_symbolic((A, -1))
     with pytest.raises(DomainError):
-        declassify(ClassifiedInt(A, -1))
+        declassify((A, -1))
 
 
 def test_transition_sweep_clean():
@@ -129,7 +128,7 @@ def test_class_sequence_tracks_trajectory(z):
     values = trajectory(z)[:-1]
     assert len(seq) == len(values)
     for v, tag in zip(values, seq):
-        assert classify(v).tag is tag
+        assert classify(v)[0] is tag
 
 
 def _taken(src, k):
@@ -153,4 +152,5 @@ def test_graph_edges_derived_from_table():
 def test_graph_agrees_with_symbolic_table(z):
     # Exactly one edge leaves (tag, k), and it goes where the table says.
     c = classify(z)
-    assert _taken(c.tag, c.k) == {transition_symbolic(c).tag}
+    tag, k = c
+    assert _taken(tag, k) == {transition_symbolic(c)[0]}

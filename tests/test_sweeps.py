@@ -138,16 +138,17 @@ def _faulty_make_block(k_in, _real=blocks.make_block):
 
 def _faulty_transition_symbolic(c, _real=residues.transition_symbolic):
     out = _real(c)
-    return out._replace(k=out.k + 1) if residues.declassify(c) == 27 else out
+    return (out[0], out[1] + 1) if residues.declassify(c) == 27 else out
 
 
 def _faulty_solve_beta_chain_paper(k, _real=beta_chain.solve_beta_chain_paper):
     sol = _real(k)
-    return sol._replace(h=sol.h + 1) if k == 27 else sol
+    return (k, sol[1], sol[2] + 1) if k == 27 else sol
 
 
 def _faulty_t_closed_form(p, _real=polyline.t_closed_form):
-    return _real(p) + (p.z == 27)
+    x, s = p
+    return _real(p) + (x + s - 1 == 27)
 
 
 # Each planted fault goes wrong at the input 27 only.
