@@ -64,10 +64,6 @@ class Block(NamedTuple):
     k_out: int
 
     @property
-    def beta_in(self) -> int:
-        return 4 * self.k_in + 2
-
-    @property
     def gamma(self) -> int:
         return 4 * self.g + 4
 
@@ -85,7 +81,7 @@ def make_block(k_in: int) -> Block:
 
 
 def block_path(b: Block) -> list[int]:
-    """All 2m+e+3 trajectory values of the block, from beta_in = 4k_in + 2
+    """All 2m+e+3 trajectory values of the block, from the beta 4k_in + 2
     to the next beta, 4k_out + 2, inclusive, generated arithmetically rather
     than by iterating the map."""
     path = chain_path(b.k_in, b.m)

@@ -193,7 +193,7 @@ def _cmd_records(args) -> Outcome:
 
 def _cmd_tree(args) -> Outcome:
     tree = backward_tree(args.depth)
-    per_level = _Tally(node.depth for node in tree.nodes.values())
+    per_level = _Tally(d for d, _ in tree.nodes.values())
     report = VerificationReport(
         command="tree",
         checked=len(tree.nodes),

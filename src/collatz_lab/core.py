@@ -33,7 +33,6 @@ __all__ = [
     "delay",
     "glide",
     "preimages_c",
-    "TreeNode",
     "BackwardTree",
     "backward_tree",
     "delay_sieve",
@@ -125,26 +124,17 @@ def preimages_c(z: int) -> set[int]:
     return pre
 
 
-class TreeNode(NamedTuple):
-    value: int
-    depth: int
-    parent: int | None
-
-
 class BackwardTree(NamedTuple):
-    """Breadth-first preimage expansion from 1, indexed by value."""
+    """Breadth-first preimage expansion from 1.  ``nodes`` maps each value
+    to a plain (depth, parent) tuple: its level, and the value one forward
+    step takes it to, None at the root 1."""
 
     depth: int
-    nodes: dict[int, TreeNode]
+    nodes: dict[int, tuple[int, int | None]]
 
+    # Without this, ``v in tree`` would test the record's two fields.
     def __contains__(self, value: int) -> bool:
         return value in self.nodes
-
-    def depth_of(self, value: int) -> int:
-        return self.nodes[value].depth
-
-    def values_at(self, depth: int) -> set[int]:
-        return {n.value for n in self.nodes.values() if n.depth == depth}
 
 
 def backward_tree(depth: int) -> BackwardTree:
@@ -156,7 +146,7 @@ def backward_tree(depth: int) -> BackwardTree:
     """
     if depth < 0:
         raise DomainError(f"depth must be >= 0, got {depth}")
-    nodes = {1: TreeNode(1, 0, None)}
+    nodes: dict[int, tuple[int, int | None]] = {1: (0, None)}
     frontier = [1]
     for d in range(1, depth + 1):
         nxt = []
@@ -164,7 +154,7 @@ def backward_tree(depth: int) -> BackwardTree:
             for p in preimages_c(z):
                 if p == 1:  # the loop edge 4 -> 1
                     continue
-                nodes[p] = TreeNode(p, d, z)
+                nodes[p] = (d, z)
                 nxt.append(p)
         frontier = nxt
     return BackwardTree(depth=depth, nodes=nodes)

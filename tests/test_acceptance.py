@@ -139,15 +139,15 @@ def test_backward_tree_matches_forward_delays():
     delays = delay_sieve(bound)
     # Per-node check: sieve lookups below the bound, forward walks above it.
     sound = all(
-        node.depth == (delays[value] if value <= bound else delay(value))
-        for value, node in tree.nodes.items()
+        d == (delays[value] if value <= bound else delay(value))
+        for value, (d, _) in tree.nodes.items()
     )
     complete = all(
         (n in tree) == (delays[n] <= 30)
-        and (delays[n] > 30 or tree.depth_of(n) == delays[n])
+        and (delays[n] > 30 or tree.nodes[n][0] == delays[n])
         for n in range(2, bound + 1)
     )
-    ok = sound and complete and tree.depth_of(1) == 0
+    ok = sound and complete and tree.nodes[1][0] == 0
     _verdict(
         "depth-30 backward tree = {n : delay(n) <= 30}, depths matching "
         f"(forward sweep to {bound})",

@@ -10,6 +10,7 @@ from collatz_lab.blocks import (
     block_counterexample,
     block_path,
     block_state,
+    block_step,
     decompose,
     decompose_until_trivial,
     make_block,
@@ -102,7 +103,7 @@ def test_block_path_matches_map(k0):
     b = make_block(k0)
     path = block_path(b)
     assert len(path) == b.steps + 1
-    v = b.beta_in
+    v = 4 * b.k_in + 2
     for expected in path:
         assert v == expected
         v = step_c(v)
@@ -269,6 +270,21 @@ def test_planted_landing_value_fails_verify_blocks(monkeypatch):
     report = verify_blocks(20, workers=1)
     assert len(report.counterexamples) == 21
     assert report.counterexamples[0] == Counterexample("0", "path value 5 (block k_in=0, offset 1)", "1")
+
+
+def test_planted_block_step_fails_verify_blocks(monkeypatch):
+    def off_by_one(state, m, e):
+        p, t, s = block_step(state, m, e)
+        return (p, t, s + 1) if (m, e) == (0, 1) else (p, t, s)
+
+    # recurrence_holds looks the step up per block, so the wrong affine map
+    # reaches the sweep wherever a walk takes a block with m = 0, e = 1
+    monkeypatch.setattr("collatz_lab.blocks.block_step", off_by_one)
+    report = verify_blocks(50, workers=1)
+    assert len(report.counterexamples) == 20
+    assert report.counterexamples[0] == Counterexample(
+        "0", "block recurrence balance", "violated at Block(k_in=0, m=0, h=0, g=0, e=1, k_out=0)"
+    )
 
 
 def test_block_counterexample_step_limit():

@@ -179,23 +179,25 @@ def test_preimages_really_map_back(z):
 def test_backward_tree_depth_2():
     t = backward_tree(2)
     assert set(t.nodes) == {1, 2, 4}
-    assert t.depth_of(4) == 2
+    assert t.nodes[4][0] == 2
+    # 3 is the tree's depth but not one of its values
+    assert 3 not in backward_tree(3)
 
 
 def test_backward_tree_depth_5():
     t = backward_tree(5)
     assert set(t.nodes) == {1, 2, 4, 8, 16, 5, 32}
-    assert t.values_at(5) == {5, 32}
-    assert t.depth_of(5) == 5
+    assert {v for v, (d, _) in t.nodes.items() if d == 5} == {5, 32}
+    assert t.nodes[5][0] == 5
 
 
 @given(st.integers(min_value=0, max_value=12))
 def test_backward_tree_depth_equals_delay(depth):
     t = backward_tree(depth)
-    for value, node in t.nodes.items():
-        assert delay(value) == node.depth
-        if node.parent is not None:
-            assert step_c(value) == node.parent
+    for value, (d, parent) in t.nodes.items():
+        assert delay(value) == d
+        if parent is not None:
+            assert step_c(value) == parent
 
 
 def test_delay_sieve_agrees_with_delay():

@@ -3,7 +3,8 @@ field order it has always had, and a result which is one sequence is that
 sequence: a trajectory, a record table, a class sequence and a block
 decomposition are lists, and the transition graph is a frozenset.  The
 per-input results of the sweep kernels are exact tuples, never a subclass:
-(tag, k), (k, m, h) and (x, s)."""
+(tag, k), (k, m, h) and (x, s), and so is each backward-tree node,
+(depth, parent)."""
 
 from types import MappingProxyType
 
@@ -68,5 +69,6 @@ def test_per_input_results_are_exact_tuples():
         (solve_beta_chain(7), (7, 3, 13)),
         (solve_beta_chain_paper(7), (7, 3, 13)),
         (to_polyline(7), (4, 4)),
+        (backward_tree(3).nodes[8], (3, 4)),
     ]:
         assert type(got) is tuple and got == want

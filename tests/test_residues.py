@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from collatz_lab import residues
 from collatz_lab.core import step_c, trajectory
 from collatz_lab.errors import DomainError
+from collatz_lab.report import Counterexample
 from collatz_lab.residues import (
     GraphEdge,
     ResidueClass,
@@ -154,3 +156,27 @@ def test_graph_agrees_with_symbolic_table(z):
     c = classify(z)
     tag, k = c
     assert _taken(tag, k) == {transition_symbolic(c)[0]}
+
+
+def _plant_row(monkeypatch, row, wrong):
+    table = list(residues._TABLE)
+    table[row] = wrong
+    monkeypatch.setattr(residues, "_TABLE", tuple(table))
+
+
+def test_planted_table_row_fails_verify_transitions(monkeypatch):
+    # eta, k odd: 6l+4 in place of 6l+5, so every z = 8l+7 lands 4 short
+    _plant_row(monkeypatch, 5, (B, 6, 4))
+    bad = verify_transitions(100, workers=1).counterexamples
+    assert [int(c.input) for c in bad] == list(range(7, 101, 8))
+    assert bad[0] == Counterexample("7", "22", "18")
+
+
+def test_planted_table_row_reaches_the_graph(monkeypatch):
+    # gamma, k odd: beta in place of gamma, so z = 8l+8 goes astray and the
+    # gamma self-loop leaves the graph
+    _plant_row(monkeypatch, 7, (B, 1, 0))
+    bad = verify_transitions(100, workers=1).counterexamples
+    assert [int(c.input) for c in bad] == list(range(8, 101, 8))
+    graph = transition_graph()
+    assert len(graph) == 5 and GraphEdge(G, G, "odd") not in graph
