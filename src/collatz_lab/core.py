@@ -6,24 +6,29 @@ how far a trajectory climbs.  All symbolic machinery in the other modules is
 checked against the brute-force iteration defined in this one.
 
 ``step_c`` is the raw map, and ``trajectory`` is the one walk to 1 built on
-it.  Four loops inline the step instead of calling it: ``glide``,
+it.  Five loops inline the step instead of calling it: ``delay``, ``glide``,
 ``delay_sieve``, ``drop_counterexample`` and ``blocks.block_counterexample``.
-Each runs once per input of a sweep or a record table, where most walks end
-within a few steps, so a call per step would cost more than the walk.  The
-first three walk the descent rule (n falls below itself within a step limit);
-``_descent_steps``, the convergence sweep's sieve, proves it by class mod 2^12.
+Each runs once per input of a sweep or a record table, or once per step of a
+long orbit, so a call per step would cost more than the walk.  ``glide``,
+``delay_sieve`` and ``drop_counterexample`` walk the descent rule (n falls
+below itself within a step limit).  ``_descent_steps``, the convergence
+sweep's sieve, proves it by class mod 2^16 for all but 3.2% of the classes,
+and gives each class it leaves a Terras jump over its first 16 shortcut
+steps, which ``drop_counterexample`` takes.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from functools import cache
 from typing import Iterable, NamedTuple
 
 from .errors import DomainError, LimitExceeded
 
 DEFAULT_STEP_LIMIT = 100_000
-SIEVE_BITS = 12
+SIEVE_BITS = 16
 SIEVE_MODULUS = 1 << SIEVE_BITS
+_SIEVE_MASK = SIEVE_MODULUS - 1
 
 __all__ = [
     "DEFAULT_STEP_LIMIT",
@@ -83,13 +88,20 @@ def trajectory(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
 
 def delay(z: int, step_limit: int = DEFAULT_STEP_LIMIT) -> int:
     """Number of Collatz steps from z to the first 1, as an int: the steps of
-    its trajectory.
+    its trajectory, counted without keeping the orbit.
 
-    Past ``step_limit`` the LimitExceeded of ``trajectory`` propagates, with
+    Past ``step_limit`` it raises the LimitExceeded of ``trajectory``, with
     the orbit so far as its partial.
     """
     if z < 1:
         raise DomainError(f"delay needs z >= 1, got {z}")
+    _check_step_limit(step_limit)
+    v = z
+    for steps in range(step_limit + 1):
+        if v == 1:
+            return steps
+        v = 3 * v + 1 if v & 1 else v >> 1
+    # Only the failing walk builds the orbit list: trajectory raises here.
     return len(trajectory(z, step_limit)) - 1
 
 
@@ -185,57 +197,153 @@ def delay_sieve(n_max: int, step_limit: int = DEFAULT_STEP_LIMIT) -> list[int]:
 
 def drop_counterexample(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[str, str] | None:
     """Sweep-grade check that n falls below itself within ``step_limit``
-    raw steps; None when it does.  The kernel of ``verify convergence``."""
-    v = n
-    for _ in range(step_limit):
+    raw steps; None when it does.  The kernel of ``verify convergence``.
+
+    An n >= 1 whose class mod 2^16 has a jump in ``_descent_steps`` starts
+    its walk at T^16(n) = 3^c * a + T^16(b), with the 16 + c raw steps that
+    take n there counted, when they fit in the limit: none of them is below
+    n.  Every other n walks from n, so the result is the raw walk's.
+    """
+    v, done = n, 0
+    if n > 0:
+        jump = _descent_steps().jumps.get(n & _SIEVE_MASK)
+        if jump is not None and jump[2] <= step_limit:
+            three_c, t, done = jump
+            v = three_c * (n >> SIEVE_BITS) + t
+    for _ in range(step_limit - done):
         v = 3 * v + 1 if v & 1 else v >> 1
         if v < n:
             return None
     return ("a value below the start within the step limit", f"still at {v}")
 
 
-@cache
-def _descent_steps() -> tuple[int | None, ...]:
-    """For each residue class b mod 2^12: raw steps within which every
-    n = 2^12*a + b >= 1 falls below n, or None when the first 12 shortcut
-    steps do not show it.
+def count_unstopped_classes(k: int) -> int:
+    """The number of residue classes mod 2^k whose coefficient stopping time
+    exceeds k: those with 3^c > 2^j at every j <= k, c the odd steps among
+    the first j shortcut steps.
 
-    Terras (1976): for j <= 12 the first j shortcut steps of n have the
-    parities of those of b, so T^j(n) = 3^c * 2^(12-j) * a + T^j(b) with c
-    the odd steps among them.  The first j with 3^c < 2^j and T^j(b) < b
-    gives T^j(n) < n after j + c raw steps (each odd shortcut step is two):
-    for a = 0 that is T^j(b) < b itself.  Built once per process, with
-    exact integers.
+    The first k shortcut steps of b < 2^k take each parity vector of length
+    k exactly once (Terras 1976), so this counts the lattice paths of k
+    steps, each adding 0 or 1 to c, that keep 3^c > 2^j after every step j.
+
+    Not in ``__all__``: it sizes the sieve (the unproven classes mod 2^k
+    but 0 and 1) for the deeper tables and the 10^9 convergence run that
+    ROADMAP item 6 plans, and tests tie it to ``_descent_steps`` meanwhile.
     """
-    table: list[int | None] = []
-    for b in range(SIEVE_MODULUS):
-        t, c, three_c, steps = b, 0, 1, None
-        for j in range(1, SIEVE_BITS + 1):
-            if t & 1:
-                t, c, three_c = (3 * t + 1) >> 1, c + 1, 3 * three_c
-            else:
-                t >>= 1
-            if three_c < 1 << j and t < b:
-                steps = j + c
-                break
-        table.append(steps)
-    return tuple(table)
+    if k < 0:
+        raise DomainError(f"k must be >= 0, got {k}")
+    paths = [1]  # paths[c]: the paths of j steps so far that end at c
+    least, three_least = 0, 1  # the least c with 3^c > 2^j, and 3^c
+    for j in range(1, k + 1):
+        paths = [x + y for x, y in zip([*paths, 0], [0, *paths])]
+        while three_least < 1 << j:
+            least, three_least = least + 1, 3 * three_least
+        paths[:least] = [0] * least
+    return sum(paths)
 
 
-def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
-    """Classes mod 2^12 whose descent the sieve does not prove within
-    ``step_limit`` raw steps."""
-    return tuple(
-        b for b, steps in enumerate(_descent_steps()) if steps is None or steps > step_limit
+class _Sieve(NamedTuple):
+    """The descent sieve mod 2^SIEVE_BITS.  ``proven`` holds a (b, d, steps)
+    for each class b mod 2^d whose every n >= 1 falls below n within
+    ``steps`` raw steps, where no class mod 2^(d-1) holding it is proven.
+    ``unproven`` lists, sorted, the classes mod 2^SIEVE_BITS left over, and
+    ``jumps`` maps each of them but 0 and 1 to (3^c, T^K(b), K + c), with K =
+    SIEVE_BITS and c the odd steps among its first K shortcut steps."""
+
+    proven: tuple[tuple[int, int, int], ...]
+    unproven: tuple[int, ...]
+    jumps: dict[int, tuple[int, int, int]]
+
+
+def _class_walk(b: int, d: int) -> tuple[int | None, int, int, bool]:
+    """The first d shortcut steps of the class b mod 2^d, walked from b:
+    (steps, T^d(b), c, stopped), with steps None unless some j <= d has
+    3^c < 2^j and T^j(b) < b, and stopped when some j has 3^c < 2^j."""
+    t, c, stopped = b, 0, False
+    for j in range(1, d + 1):
+        t, c = ((3 * t + 1) >> 1, c + 1) if t & 1 else (t >> 1, c)
+        if 3**c < 1 << j:
+            if t < b:
+                return j + c, t, c, True
+            stopped = True
+    return None, t, c, stopped
+
+
+@cache
+def _descent_steps() -> _Sieve:
+    """The descent sieve mod 2^SIEVE_BITS, refined one bit at a time from
+    the one class mod 1.  Built once per process, with exact integers.
+
+    Terras (1976): the first d shortcut steps of n = 2^d*a + b have the
+    parities of those of b, so for j <= d, T^j(n) = 3^c * 2^(d-j) * a +
+    T^j(b), with c the odd steps among them.  The first j with 3^c < 2^j
+    and T^j(b) < b gives T^j(n) < n after j + c raw steps (each odd shortcut
+    step is two): for a = 0 that is T^j(b) < b itself.
+
+    An unproven class b mod 2^d splits into b and b + 2^d mod 2^(d+1), whose
+    T^d are T^d(b) and T^d(b) + 3^c; one more shortcut step of each tests
+    j = d + 1.  Where the parent already had 3^c < 2^j at some j, a child may
+    be proven at that earlier j, so it is walked anew from its least member;
+    that happens only to the classes 0 and 1.  Every other class left at
+    depth K has 3^c > 2^j at each j <= K, so for every n >= 1 in it
+    T^j(n) = (3^c * n + r) / 2^j, with r >= 0, stays above n: its n need no
+    least a for the jump T^K(n) = 3^c * a + T^K(b) after K + c raw steps.
+    """
+    pow3 = [3**c for c in range(SIEVE_BITS + 1)]
+    proven = []
+    level = [(0, 0, 0, False)]  # unproven (b, T^d(b), c, stopped) at depth d
+    for d in range(SIEVE_BITS):
+        top, nxt = 2 << d, []
+        for b, t, c, stopped in level:
+            for child, u in ((b, t), (b + (1 << d), t + pow3[c])):
+                if stopped:
+                    steps, u, c2, stopped2 = _class_walk(child, d + 1)
+                    if steps is None:
+                        nxt.append((child, u, c2, stopped2))
+                    else:
+                        proven.append((child, d + 1, steps))
+                    continue
+                if u & 1:
+                    u, c2 = (3 * u + 1) >> 1, c + 1
+                else:
+                    u, c2 = u >> 1, c
+                if pow3[c2] > top:
+                    nxt.append((child, u, c2, False))
+                elif u < child:
+                    proven.append((child, d + 1, d + 1 + c2))
+                else:
+                    nxt.append((child, u, c2, True))
+        level = nxt
+    return _Sieve(
+        proven=tuple(proven),
+        unproven=tuple(sorted([node[0] for node in level])),
+        jumps={b: (pow3[c], t, SIEVE_BITS + c) for b, t, c, stopped in level if not stopped},
     )
 
 
+def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
+    """The classes mod 2^16 whose descent the sieve does not prove within
+    ``step_limit`` raw steps, sorted: the unproven ones, and each class mod
+    2^16 inside a class proven in more steps than that."""
+    sieve = _descent_steps()
+    late = [
+        member
+        for b, d, steps in sieve.proven
+        if steps > step_limit
+        for member in range(b, SIEVE_MODULUS, 1 << d)
+    ]
+    return tuple(sorted([*sieve.unproven, *late])) if late else sieve.unproven
+
+
 def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int]:
-    """The n of [lo, hi) in surviving classes, in increasing order."""
+    """The n of [lo, hi) in surviving classes, in increasing order.  Each
+    block of 2^16 inputs yields the survivors between bisections at the
+    span's ends, so a span costs what it yields."""
     for base in range(lo & -SIEVE_MODULUS, hi, SIEVE_MODULUS):
-        for b in survivors:
-            if lo <= base + b < hi:
-                yield base + b
+        first = bisect_left(survivors, lo - base)
+        last = bisect_left(survivors, hi - base)
+        for b in survivors[first:last]:
+            yield base + b
 
 
 def records_sweep(

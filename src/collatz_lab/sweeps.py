@@ -46,7 +46,7 @@ named.
 
 A sweep may scan only some inputs of its range (``run_sweep``'s ``inputs``)
 when the rest are proven without a check.  The convergence sweep does so
-with the sieve of classes mod 2^12 in ``core``; see ``verify_convergence``.
+with the sieve of classes mod 2^16 in ``core``; see ``verify_convergence``.
 No kernel or sieve is defined here: each lives with the claim it checks.
 
 The worker count is the one the caller asks for, else the number of CPUs
@@ -371,7 +371,7 @@ class Sweep(NamedTuple):
     ``start`` is also the least top allowed, and ``top_name`` names the top
     in the error for one below it.  When ``takes_limit``, the kernel takes a
     ``step_limit`` keyword, the limit is recorded in the report, and
-    ``sieve(step_limit)``, if given, names the classes mod 2^12 whose inputs
+    ``sieve(step_limit)``, if given, names the classes mod 2^16 whose inputs
     need a check.  ``config`` goes into the report as it is."""
 
     check: str
@@ -474,9 +474,10 @@ def verify_convergence(
     own start within the step limit, which by strong induction on n (all
     smaller starts already verified) pulls every orbit down to 1.
 
-    Only the n in classes mod 2^12 that ``core._descent_steps`` leaves
-    within the step limit (about 5.6% of them at the default limit) are
-    iterated; every other n is proven to fall below itself by its class:
-    the counterexamples are those of ``core.drop_counterexample`` on all n.
+    Only the n in classes mod 2^16 that ``core._descent_steps`` leaves
+    within the step limit (about 3.2% of them at the default limit) are
+    iterated, most of them from a Terras jump over their first 16 shortcut
+    steps; every other n is proven to fall below itself by its class: the
+    counterexamples are those of a raw walk from every n.
     """
     return _verify("convergence", n_max, workers, step_limit)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -84,6 +86,40 @@ def test_delay_spots():
     assert delay(2) == 1
     assert delay(6) == 8
     assert delay(27) == 111
+
+
+def test_delay_counts_the_trajectory():
+    for z in range(1, 10**4 + 1):
+        assert delay(z) == len(trajectory(z)) - 1, z
+    # Every n to 64, then every hundredth to 2,000: each 2^n - 1 to 2,000
+    # would take about 20 s.
+    for bits in [*range(1, 65), *range(100, 2001, 100)]:
+        z = 2**bits - 1
+        assert delay(z) == len(trajectory(z)) - 1, bits
+
+
+@pytest.mark.parametrize("z, limit", [(27, 1), (27, 50), (97, 117), (2**200 - 1, 1000)])
+def test_delay_fails_like_trajectory(z, limit):
+    with pytest.raises(LimitExceeded) as want:
+        trajectory(z, limit)
+    with pytest.raises(LimitExceeded) as got:
+        delay(z, limit)
+    assert str(got.value) == str(want.value)
+    assert got.value.partial == want.value.partial
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_delay_keeps_no_orbit():
+    z = 2**5000 - 1
+    assert _peak_bytes(delay, z) < _peak_bytes(trajectory, z) / 10
 
 
 def test_glide_spots():

@@ -7,7 +7,7 @@ import subprocess
 import sys
 import time
 import warnings
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from types import MappingProxyType
 
@@ -17,10 +17,12 @@ import collatz_lab
 from collatz_lab import beta_chain, blocks, cli, polyline, residues
 from collatz_lab.core import (
     DEFAULT_STEP_LIMIT,
+    SIEVE_BITS,
     SIEVE_MODULUS,
     _descent_steps,
     _sieve_survivors,
     _sieved_inputs,
+    count_unstopped_classes,
     drop_counterexample,
     glide,
 )
@@ -44,16 +46,32 @@ from collatz_lab.sweeps import (
 )
 
 
-def _raw_convergence(n_max, step_limit):
-    """The convergence sweep without the sieve: drop_counterexample on every n."""
-    return run_sweep(
-        "verify convergence",
-        partial(drop_counterexample, step_limit=step_limit),
-        2,
-        n_max + 1,
-        workers=1,
-        config={"max": str(n_max), "limit": str(step_limit)},
-    )
+def _raw_convergence(n_max, limits):
+    """The counterexamples of the convergence sweep over [2, n_max] at each
+    step limit of ``limits``, from one raw walk per n that shares no code
+    with the sieve or the jump: n fails at a limit when none of its first
+    that many raw steps is below n."""
+    rows = {limit: [] for limit in limits}
+    top = max(limits)
+    for n in range(2, n_max + 1):
+        v = n
+        for steps in range(1, top + 1):
+            v = 3 * v + 1 if v & 1 else v >> 1
+            if v < n:
+                break
+            if steps in rows:
+                rows[steps].append(
+                    Counterexample(
+                        str(n), "a value below the start within the step limit", f"still at {v}"
+                    )
+                )
+    return rows
+
+
+def _assert_raw_report(report, n_max, limit, rows):
+    assert report.counterexamples == rows
+    assert report.config == {"max": str(n_max), "limit": str(limit)}
+    assert report.checked == n_max - 1
 
 
 def _json_without_elapsed(report):
@@ -68,44 +86,130 @@ def test_drop_check_counts_raw_steps():
     assert drop_counterexample(27, step_limit=96) is None  # glide(27) = 96
 
 
+@cache
+def _brute_classes(bits):
+    """For each class b mod 2^bits, by a walk of its own: the raw steps of the
+    first j <= bits with 3^c < 2^j and T^j(b) < b (None if there is none),
+    and whether 3^c > 2^j at every j <= bits."""
+    rows = []
+    for b in range(1 << bits):
+        t, c, steps, unstopped = b, 0, None, True
+        for j in range(1, bits + 1):
+            t, c = ((3 * t + 1) // 2, c + 1) if t % 2 else (t // 2, c)
+            if 3**c < 2**j:
+                unstopped = False
+                if t < b and steps is None:
+                    steps = j + c
+        rows.append((steps, unstopped))
+    return rows
+
+
+def test_sieve_table_equals_a_brute_force_table():
+    # The refined table, spread over every class mod 2^16, is the table a
+    # walk of each class builds; the classes it leaves are the unstopped
+    # ones, plus 0 and 1.
+    sieve = _descent_steps()
+    table = [None] * SIEVE_MODULUS
+    for b, d, steps in sieve.proven:
+        for i in range(SIEVE_MODULUS >> d):
+            assert table[b + (i << d)] is None, (b, d)
+            table[b + (i << d)] = steps
+    rows = _brute_classes(SIEVE_BITS)
+    assert table == [steps for steps, _ in rows]
+    unstopped = [b for b, (_, flag) in enumerate(rows) if flag]
+    assert list(sieve.unproven) == [0, 1, *unstopped]
+    assert sorted(sieve.jumps) == unstopped
+
+
 def test_sieve_table_claims_hold():
-    # Each sieved class really falls below its start within the steps the
-    # table claims, for several a in n = 2^12 * a + b, a = 0 included.
-    table = _descent_steps()
-    for b, steps in enumerate(table):
-        if steps is None:
-            continue
-        for a in (0, 1, 2, 3, 5, 1000, 10**30 + 7):
-            assert glide(SIEVE_MODULUS * a + b) <= steps, (a, b)
+    # Each proven class b mod 2^d really falls below its start within the
+    # steps the table claims, for several a in n = 2^d * a + b, a = 0
+    # included.  Each jump's first 16 + c raw steps from n = 2^16 * a + b
+    # stay at or above n and land on 3^c * a + T^16(b).
+    sieve = _descent_steps()
+    many = (0, 1, 2, 3, 5, 1000, 10**30 + 7)
+    for b, d, steps in sieve.proven:
+        for a in many:
+            assert glide((a << d) + b) <= steps, (a, b, d)
+    for b, (three_c, t, raw_steps) in sieve.jumps.items():
+        for a in many:
+            n = v = SIEVE_MODULUS * a + b
+            for _ in range(raw_steps):
+                v = 3 * v + 1 if v & 1 else v >> 1
+                assert v >= n, (a, b)
+            assert v == three_c * a + t, (a, b)
+    # The classes 0 and 1 have no jump: each of their n > 1 falls below
+    # itself within 16 shortcut steps.
+    assert sieve.unproven[:2] == (0, 1) and {0, 1}.isdisjoint(sieve.jumps)
+    assert glide(SIEVE_MODULUS) == 1 and glide(SIEVE_MODULUS + 1) == 3
+
+
+@pytest.mark.parametrize("k, brute", [(8, 19), (12, 226), (16, 2114)])
+def test_unstopped_classes_are_counted_exactly(k, brute):
+    assert count_unstopped_classes(k) == brute
+    assert sum(flag for _, flag in _brute_classes(k)) == brute
+    if k == SIEVE_BITS:
+        assert len(_descent_steps().unproven) - 2 == brute
+
+
+def test_unstopped_class_count_domain():
+    assert count_unstopped_classes(0) == 1 and count_unstopped_classes(1) == 1
+    with pytest.raises(DomainError, match="^k must be >= 0, got -1$"):
+        count_unstopped_classes(-1)
 
 
 def test_sieve_survivor_share():
     survivors = _sieve_survivors(DEFAULT_STEP_LIMIT)
-    assert len(survivors) == 228  # 5.6% of the classes
+    assert len(survivors) == count_unstopped_classes(SIEVE_BITS) + 2  # 3.2% of the classes
     assert _sieve_survivors(2) == tuple(b for b in range(SIEVE_MODULUS) if b & 1 or b == 0)
 
 
-@pytest.mark.parametrize("lo, hi", [(2, 3), (2, 5000), (4096, 8192), (4095, 12289), (8191, 8191)])
+@pytest.mark.parametrize(
+    "lo, hi",
+    [
+        (2, 3),
+        (2, 5000),
+        (4096, 8192),
+        (4095, 12289),
+        (8191, 8191),
+        (65535, 131073),
+        (60000, 200000),
+        (131072, 131072 + 27),
+    ],
+)
 def test_sieved_inputs_are_the_survivors_of_each_span(lo, hi):
     survivors = _sieve_survivors(30)
-    want = [n for n in range(lo, hi) if n % SIEVE_MODULUS in survivors]
+    classes = set(survivors)
+    want = [n for n in range(lo, hi) if n % SIEVE_MODULUS in classes]
     assert list(_sieved_inputs(lo, hi, survivors)) == want
 
 
 def test_sieved_convergence_equals_raw_to_one_million():
     sieved = verify_convergence(10**6, workers=1)
-    raw = _raw_convergence(10**6, DEFAULT_STEP_LIMIT)
-    assert sieved.passed and sieved.checked == raw.checked == 10**6 - 1
-    assert sieved.counterexamples == raw.counterexamples
+    raw = _raw_convergence(10**6, [DEFAULT_STEP_LIMIT])
+    assert sieved.passed
+    _assert_raw_report(sieved, 10**6, DEFAULT_STEP_LIMIT, raw[DEFAULT_STEP_LIMIT])
 
 
 @pytest.mark.parametrize("limit", [1, 2, 3, 5, 10, 30])
 def test_sieved_convergence_equals_raw_at_small_limits(limit):
     sieved = verify_convergence(2 * 10**5, step_limit=limit, workers=1)
-    raw = _raw_convergence(2 * 10**5, limit)
     assert sieved.counterexamples, "a limit this small must leave counterexamples"
-    assert sieved.counterexamples == raw.counterexamples
-    assert sieved.config == raw.config and sieved.checked == raw.checked
+    _assert_raw_report(sieved, 2 * 10**5, limit, _raw_convergence(2 * 10**5, [limit])[limit])
+
+
+def test_sieved_convergence_equals_raw_across_the_jump_lengths():
+    # The raw lengths 16 + c of the jumps are 27 to 32, so at each limit
+    # from 24 to 34 some classes jump and some walk from n.  One raw walk
+    # per n serves every limit.
+    lengths = {raw_steps for *_, raw_steps in _descent_steps().jumps.values()}
+    assert lengths == set(range(27, 33))
+    limits = range(24, 35)
+    raw = _raw_convergence(2 * 10**5, limits)
+    for limit in limits:
+        sieved = verify_convergence(2 * 10**5, step_limit=limit, workers=1)
+        assert sieved.counterexamples, limit
+        _assert_raw_report(sieved, 2 * 10**5, limit, raw[limit])
 
 
 def test_every_kernel_lives_outside_sweeps():
