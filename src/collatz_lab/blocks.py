@@ -24,12 +24,13 @@ so that after n blocks k_n = (T * k_0 + S) / P.  ``recurrence_holds``
 returns whether a real block balances one step; the blocks sweep kernel,
 ``block_counterexample``, asks it of every block it walks.
 ``block_state`` folds the step over a checked parameter list, and the
-cycle search (``cycles``) over whole parameter boxes.  ``closing_blocks``
-lists the last blocks that close a state, by a lemma derived from the
-step, without taking each step.  The step also makes sense for *formal*
-parameter lists (m_j, e_j) that need not come from a real trajectory, for
-which (T * k_0 + S) / P need not be an integer; the cycle search exploits
-them.
+cycle search (``cycles``) takes it once per first block.  The last-block
+lemma, derived from the step, finds the last blocks that close a state
+without taking each step, and steps a node's children from the same
+quantities; ``closing_blocks`` is its case of one block.  The step also
+makes sense for *formal* parameter lists (m_j, e_j) that need not come
+from a real trajectory, for which (T * k_0 + S) / P need not be an
+integer; the cycle search exploits them.
 """
 
 from __future__ import annotations
@@ -132,6 +133,7 @@ def decompose_until_trivial(k0: int, max_blocks: int = 10**5) -> list[Block]:
 
 
 State = tuple[int, int, int]
+Blocks = tuple[tuple[int, int], ...]  # block parameters (m, e), in walk order
 START: State = (1, 1, 0)  # the state of no blocks: k_0 = (1 * k_0 + 0) / 1
 
 
@@ -146,35 +148,36 @@ def _vanished(p: int) -> IdentityViolation:
     return IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
 
 
-def closing_blocks(state: State, budget: int) -> Iterator[tuple[int, int, int]]:
-    """Every last block (m, e) with m + e <= budget that closes the state
-    at a non-negative integer: (m, e, k_0) in walk order, m then e, for
-    each (P', T', S') = ``block_step(state, m, e)`` with
-    ``divmod(S', P' - T') == (k_0, 0)`` and k_0 >= 0, without the steps.
-    The state's P and T must be positive.
+def _lemma(p: int, t: int, q: int, budget: int, depth: int, path: Blocks, found: list) -> None:
+    """The last-block lemma over a node (P, T, Q = 2*(S + P) - T) with
+    blocks ``path``: appends (path + ((m, e),), k_0) to ``found`` for each
+    last block that closes, in walk order within one length, and above
+    depth 1 walks each child with room for one more block by the module
+    global ``_lemma``, so a patched ``blocks._lemma`` reaches every node.
 
-    The last-block lemma.  With a = 3^(m+1), b = 2^(m+1) and
-    D_e = P' - T' = b*P*2^e - T*a, the step gives
+    With a = 3^(m+1), b = 2^(m+1) and (P', T', S') the step by (m, e),
+    D_e = P' - T' = b*P*2^e - T*a, and the step gives
     2*S' = 2*S*a + (2*a - b - b*2^e)*P, so
 
-        W = 2*S' + D_e = a*(2*S + 2*P - T) - b*P
+        W = 2*S' + D_e = a*Q - b*P
 
     does not depend on e.  k_0 = S'/D_e = (W/D_e - 1)/2 is an integer
     >= 0 exactly when D_e divides W with an odd quotient >= 1, which needs
     D_e of W's sign and |D_e| <= |W|: b*P*2^e between T*a + min(W, 0) and
     T*a + max(W, 0).  D_e grows with e, so the e that can close form one
     interval; its ends come from bit lengths, and each e in it gets the
-    exact test ``divmod(W, D_e)``.
+    exact test ``divmod(W, D_e)``.  The child (m, e) is
+    (P', T', Q') = (b*P*2^e, T*a, W + b*P*2^e), as S' = (W - D_e)/2.
 
     The interval's low end never falls as m grows.  It is the least e with
     2^e >= min(T*a, T*a + W) / (b*P) = min(T*r, 2*(S + P)*r - P) / P,
     where r = a/b = (3/2)^(m+1): a bound that grows with m, or stays
-    negative, where the low end is 1.  So the m loop stops once that end
-    passes budget - m.  Raises IdentityViolation where a D_e is 0.
+    negative, where the low end is 1.  Once that end passes budget - m, no
+    later m closes, and at depth 1 the m loop stops.  Raises
+    IdentityViolation where a D_e is 0.
     """
-    p, t, s = state
-    # T*a, a*(2S + 2P - T) and b*P at m = -1, each grown by one factor per m
-    ta, aq, bp = t, 2 * (s + p) - t, p
+    # T*a, a*Q and b*P at m = -1, each grown by one factor per m
+    ta, aq, bp = t, q, p
     for m in range(budget):
         ta *= 3
         aq *= 3
@@ -190,7 +193,7 @@ def closing_blocks(state: State, budget: int) -> Iterator[tuple[int, int, int]]:
             first = ((lo - 1) // bp).bit_length() or 1 if lo > 1 else 1
             hi = ta
         room = budget - m
-        if first > room:
+        if first > room and depth == 1:
             return
         last = (hi // bp).bit_length() - 1
         if last > room:
@@ -202,8 +205,32 @@ def closing_blocks(state: State, budget: int) -> Iterator[tuple[int, int, int]]:
                 raise _vanished(bp << e)
             k, r = divmod(w, d)
             if not r and k > 0 and k & 1:
-                yield m, e, k >> 1
+                found.append((path + ((m, e),), k >> 1))
             e += 1
+        if depth > 1:
+            for e in range(1, room):
+                pe = bp << e
+                _lemma(pe, ta, w + pe, room - e, depth - 1, path + ((m, e),), found)
+
+
+def _closing_lists(state: State, budget: int, depth: int, path: Blocks = ()) -> list:
+    """Every list of 1 to ``depth`` more blocks, sum(m) + sum(e) <= budget,
+    that closes the state at an integer k_0 >= 0, as (path + the list, k_0),
+    from one ``_lemma`` per node.  The state's P and T must be positive."""
+    p, t, s = state
+    found: list[tuple[Blocks, int]] = []
+    _lemma(p, t, 2 * (s + p) - t, budget, depth, path, found)
+    return found
+
+
+def closing_blocks(state: State, budget: int) -> Iterator[tuple[int, int, int]]:
+    """Every last block (m, e) with m + e <= budget that closes the state
+    at a non-negative integer: (m, e, k_0) in walk order, m then e, for
+    each (P', T', S') = ``block_step(state, m, e)`` with
+    ``divmod(S', P' - T') == (k_0, 0)`` and k_0 >= 0, without the steps:
+    ``_lemma`` at depth 1.  The state's P and T must be positive."""
+    for ((m, e),), k in _closing_lists(state, budget, 1):
+        yield m, e, k
 
 
 def block_state(m_seq: Sequence[int], e_seq: Sequence[int]) -> State:

@@ -321,10 +321,19 @@ def _descent_steps() -> _Sieve:
     )
 
 
+_SIEVE_MOST_STEPS = 26  # the most raw steps that a class proven by the sieve needs
+
+
 def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
     """The classes mod 2^16 whose descent the sieve does not prove within
     ``step_limit`` raw steps, sorted: the unproven ones, and each class mod
-    2^16 inside a class proven in more steps than that."""
+    2^16 inside a class proven in more steps than that.  Built once per
+    limit; from ``_SIEVE_MOST_STEPS`` up, they are the unproven classes."""
+    return _survivors_within(min(step_limit, _SIEVE_MOST_STEPS))
+
+
+@cache
+def _survivors_within(step_limit: int) -> tuple[int, ...]:
     sieve = _descent_steps()
     late = [
         member

@@ -21,15 +21,14 @@ The bracket never vanishes, as no power of 2 equals a power of 3; every
 closure here raises ``IdentityViolation`` where it would.
 
 ``search_cycles`` walks its parameter box exhaustively, depth first.  A
-node is a list of blocks with its state and the budget left.  It takes
-its closing children, the lists one block longer that close, from the
-last-block lemma (``blocks.closing_blocks``), which tests only the e that
-can close under the node's state, and it steps only the children that
-leave room for one more block.  A box large enough to repay a fork is
-walked on the fork engine of ``sweeps``, one first block per item; the
-solutions come back in walk order, so the result does not depend on the
-worker count.  ``search_cycles_n1`` is the lemma's case n = 1: the
-closing blocks of ``START`` that fall in its box.
+node is a list of blocks with its state and the budget left.  One loop
+over m per node, the last-block lemma of ``blocks``, tests only the e
+that can close under the node's state and steps, from the same
+quantities, the children that leave room for one more block.  A box
+large enough to repay a fork is walked on the fork engine of ``sweeps``,
+one first block per item; the solutions come back in walk order, so the
+result does not depend on the worker count.  ``search_cycles_n1`` is the
+lemma's case n = 1: the closing blocks of ``START`` that fall in its box.
 
 A closing list is *simulated* against the genuine block decomposition; a
 formal solution that the map itself does not follow is returned with
@@ -43,10 +42,8 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import START, State, _blocks_from, _vanished, block_state
-# module globals: one lookup each in the search loop
-from .blocks import block_step as _extend
-from .blocks import closing_blocks as _last_blocks
+from .blocks import START, _blocks_from, _closing_lists, _vanished, block_state, closing_blocks
+from .blocks import block_step as _extend  # the first-block step; a patch reaches it
 from .errors import DomainError
 from .sweeps import _fork_map, resolve_workers
 
@@ -131,48 +128,29 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     """
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
-    blocks = _last_blocks(START, m_max + min(e_max, m_max + 1))
+    blocks = closing_blocks(START, m_max + min(e_max, m_max + 1))
     return [_hit([(m, e)], k0) for m, e, k0 in blocks if m <= m_max and e <= e_max]
 
 
-Blocks = list[tuple[int, int]]  # block parameters (m, e), in walk order
-
-# A candidate costs 0.1 to 0.9 us and a fork about 2 ms.  On a 2-vCPU host
+# A candidate costs 0.1 to 0.7 us and a fork 2 to 3 ms.  On a 2-vCPU host
 # 2 workers have lost to 1 on every box below 100,000 candidates on one
-# day, and beaten it from 80,788 candidates up on another; (5, 16), 509,014
-# candidates, gains every time.  So the search gives each worker at least
-# this many candidates and walks a smaller box in this process alone.
+# day, beaten it from 80,788 candidates up on another, and lost up to
+# 127,920 on a third; (5, 16), 509,014 candidates, gains every time.  So
+# the search gives each worker at least this many candidates and walks a
+# smaller box in this process alone.
 _MIN_SHARE = 50_000
 
 
-def _first_block_names(claimed: Blocks) -> str:
+def _first_block_names(claimed: Sequence[tuple[int, int]]) -> str:
     return "first blocks (m, e) " + ", ".join(map(str, claimed))
 
 
-def _walk(
-    n_max: int, exp_budget: int, pairs: list[Blocks], first: tuple[int, int]
-) -> list[CycleSolution]:
-    """The solutions that start with block ``first``, in walk order;
-    ``pairs`` is the table built by ``search_cycles``.  A node's depth is
-    the length of ``path``, its blocks.  Each node appends its closing
-    children from ``blocks.closing_blocks`` and, above depth n_max - 1,
-    steps the children that leave room for one more block."""
-    path = [first]
-    found: list[CycleSolution] = []
-
-    def walk(state: State, remaining: int) -> None:
-        for m, e, k0 in _last_blocks(state, remaining):
-            found.append(_hit(path + [(m, e)], k0))
-        if len(path) + 1 < n_max:
-            for pair in pairs[remaining]:
-                m, e = pair
-                path.append(pair)
-                walk(_extend(state, m, e), remaining - m - e)
-                path.pop()
-
+def _walk(n_max: int, exp_budget: int, first: tuple[int, int]) -> list[CycleSolution]:
+    """The solutions that start with block ``first``, each length in walk
+    order: the closing lists below its state, from the last-block lemma."""
     m, e = first
-    walk(_extend(START, m, e), exp_budget - m - e)
-    return found
+    below = _closing_lists(_extend(START, m, e), exp_budget - m - e, n_max - 1, (first,))
+    return [_hit(path, k0) for path, k0 in below]
 
 
 def search_cycles(
@@ -183,10 +161,9 @@ def search_cycles(
 
     One depth-first walk visits every list of every length, in
     lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...).
-    Each node takes the lists one block longer that close from
-    ``blocks.closing_blocks`` and steps only the children that leave room
-    for another block; the closing blocks of ``START`` are the solutions of
-    length 1.
+    One m loop per node, the last-block lemma, finds the lists one block
+    longer that close and steps the children that leave room for another
+    block; the closing blocks of ``START`` are the solutions of length 1.
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of
@@ -202,27 +179,13 @@ def search_cycles(
     claimed, the one it failed in last.
     """
     total = count_candidates(n_max, exp_budget)
-    # rows[m]: the first blocks (m, e) in walk order; no walk lies below one if n_max = 1
-    rows: list[Blocks] = []
+    # the first blocks (m, e) in walk order; no walk lies below one if n_max = 1
+    firsts = []
     if n_max > 1:
-        rows = [[(m, e) for e in range(1, exp_budget - m + 1)] for m in range(exp_budget)]
-    # pairs[r]: the blocks that a node with a budget of r left steps, those
-    # that leave room for a last block (m + e < r), in walk order, all
-    # sharing one tuple per block; only a walk with blocks between the
-    # first and the last needs them, and forked workers inherit them.
-    pairs: list[Blocks] = []
-    if n_max > 2:
-        pairs = [
-            [p for m in range(r - 1) for p in rows[m][: r - 1 - m]] for r in range(exp_budget)
-        ]
+        firsts = [(m, e) for m in range(exp_budget) for e in range(1, exp_budget - m + 1)]
     w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
-    parts = _fork_map(
-        partial(_walk, n_max, exp_budget, pairs),
-        [p for row in rows for p in row],
-        w,
-        _first_block_names,
-    )
-    singles = [_hit([(m, e)], k0) for m, e, k0 in _last_blocks(START, exp_budget)]
+    parts = _fork_map(partial(_walk, n_max, exp_budget), firsts, w, _first_block_names)
+    singles = [_hit([(m, e)], k0) for m, e, k0 in closing_blocks(START, exp_budget)]
     found = singles + [sol for part in parts for sol in part]
     return sorted(found, key=lambda sol: sol.candidate.n)
 

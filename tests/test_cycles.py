@@ -248,19 +248,24 @@ def test_search_is_the_same_at_one_two_and_three_workers(n_max, budget):
     assert search_cycles(n_max, budget, workers=3) == one
 
 
-def _last_blocks_by_steps(step):
-    """The leaf rule as the walk had it before the last-block lemma: every
-    last block is stepped by ``step`` and divided."""
+def _lemma_by_steps(step):
+    """``blocks._lemma`` as the walk had it before the last-block lemma:
+    every block within the budget is stepped by ``step``; those that close
+    are divided, and those that leave room for one more block are walked."""
 
-    def last_blocks(state, budget):
+    def lemma(p, t, q, budget, depth, path, found):
+        state = (p, t, (q + t) // 2 - p)
         for m in range(budget):
             for e in range(1, budget - m + 1):
-                p, t, s = step(state, m, e)
-                q, r = divmod(s, p - t)
-                if not r and q >= 0:
-                    yield m, e, q
+                cp, ct, cs = step(state, m, e)
+                k, r = divmod(cs, cp - ct)
+                if not r and k >= 0:
+                    found.append((path + ((m, e),), k))
+                if depth > 1 and m + e < budget:
+                    cq = 2 * (cs + cp) - ct
+                    lemma(cp, ct, cq, budget - m - e, depth - 1, path + ((m, e),), found)
 
-    return last_blocks
+    return lemma
 
 
 def _planted_hits_step(state, m, e):
@@ -285,11 +290,11 @@ def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget,
             q, r = divmod(s, p - t)
             if not r and q >= 0:
                 expected.append((CycleCandidate(m_seq, e_seq), q))
-    # The walk takes every closure from the leaf rule and steps only the
-    # nodes that leave room for one more block, so the planted step goes
-    # into both.
+    # The walk steps each first block by cycles._extend and takes every
+    # other node and every closure from blocks._lemma, so the planted step
+    # goes into both.
     monkeypatch.setattr(cycles, "_extend", _planted_hits_step)
-    monkeypatch.setattr(cycles, "_last_blocks", _last_blocks_by_steps(_planted_hits_step))
+    monkeypatch.setattr(blocks, "_lemma", _lemma_by_steps(_planted_hits_step))
     monkeypatch.setattr(cycles, "_simulate", lambda c, k0: False)
     for workers in (1, 2, 3):
         got = [(s.candidate, s.k0) for s in search_cycles(n_max, budget, workers=workers)]
@@ -360,7 +365,7 @@ def test_n1_keeps_every_block_the_lemma_allows(box, monkeypatch):
         p, t, s = block_step(state, m, e)
         return (p, t, (p - t) * m) if e == e_of(m) else (p, t, s)
 
-    monkeypatch.setattr(cycles, "_last_blocks", _last_blocks_by_steps(step))
+    monkeypatch.setattr(blocks, "_lemma", _lemma_by_steps(step))
     m_max, e_max = box
     got = [(s.candidate, s.k0) for s in search_cycles_n1(m_max, e_max)]
     want = [m for m in range(m_max + 1) if e_of(m) <= e_max]
@@ -380,7 +385,10 @@ def test_only_the_bit_length_e_closes_at_a_non_negative_point(m, e):
 
 def _leaf_closures(state, budget):
     """Every last block within the budget, stepped and divided."""
-    return list(_last_blocks_by_steps(block_step)(state, budget))
+    p, t, s = state
+    found = []
+    _lemma_by_steps(block_step)(p, t, 2 * (s + p) - t, budget, 1, (), found)
+    return [(m, e, k) for ((m, e),), k in found]
 
 
 @given(
@@ -429,6 +437,37 @@ def test_a_vanishing_last_block_raises():
     # 3 * 2^(0+1) * 2^1 == 4 * 3^(0+1): the interval holds e = 1, D_1 = 0.
     with pytest.raises(IdentityViolation, match="^a power of 2 equalled a power of 3: 12$"):
         list(closing_blocks((3, 4, 1), 1))
+
+
+def test_the_lemma_steps_each_child_as_block_step_does(monkeypatch):
+    # The lemma derives each child in its own coordinates, (P, T, Q) with
+    # Q = 2(S + P) - T, from the quantities of its closing test.  Every node
+    # that the walk of (4, 13) reaches, against block_step from its parent:
+    # the start's node holds the closing blocks of length 1.
+    nodes, real = [], blocks._lemma
+
+    def recording(p, t, q, budget, depth, path, found):
+        nodes.append((path, (p, t, (q + t) // 2 - p), budget, depth))
+        return real(p, t, q, budget, depth, path, found)
+
+    monkeypatch.setattr(blocks, "_lemma", recording)
+    search_cycles(4, 13, workers=1)
+    state = {path: s for path, s, _, _ in nodes}
+    assert len(state) == len(nodes)
+    for path, s, _, _ in nodes:
+        assert s == (block_step(state[path[:-1]], *path[-1]) if path else START), path
+    # the first blocks, and below each node above the last depth every
+    # child (m, e) with m + e < budget, and no other node
+    children = {
+        path + ((m, e),)
+        for path, _, budget, depth in nodes
+        if depth > 1
+        for m in range(budget)
+        for e in range(1, budget - m)
+    }
+    assert set(state) == {()} | {(first,) for first in _firsts(13)} | children
+    # the lists of 2 and 3 blocks that leave room for one more
+    assert len(children) == count_candidates(3, 12) - count_candidates(1, 12) == 6006
 
 
 def _walk_every_leaf(n_max, exp_budget, pairs, first):
@@ -483,13 +522,14 @@ def test_search_equals_the_walk_over_every_leaf(n_max, budget):
 
 
 def test_a_wrong_c_in_the_leaf_rule_loses_a_known_solution(monkeypatch):
-    # W = a*(2S + 2P - T) - b*P with b*P for c's 2^m term doubled, as from
-    # c = 3^(m+1) - 2^(m+1) - 2^(e+m): the same leaf rule with a wrong c.
-    source = inspect.getsource(closing_blocks)
+    # W = a*Q - b*P with b*P for c's 2^m term doubled, as from
+    # c = 3^(m+1) - 2^(m+1) - 2^(e+m): the same leaf rule with a wrong c,
+    # in every node of the walk, as the lemma walks the children too.
+    source = inspect.getsource(blocks._lemma)
     assert source.count("w = aq - bp\n") == 1
     namespace = dict(vars(blocks))
     exec(source.replace("w = aq - bp\n", "w = aq - 2 * bp\n"), namespace)
-    monkeypatch.setattr(cycles, "_last_blocks", namespace["closing_blocks"])
+    monkeypatch.setattr(blocks, "_lemma", namespace["_lemma"])
     found = [s.candidate for s in search_cycles(3, 12, workers=1)]
     assert CycleCandidate((0, 0, 0), (1, 1, 1)) not in found
     assert found != [s.candidate for s in _search_every_leaf(3, 12)]
@@ -508,17 +548,17 @@ def _planted_step(action, at, in_child=True, parent=os.getpid()):
     return step
 
 
-def _planted_last_blocks(action, in_child=True, parent=os.getpid()):
-    """``closing_blocks``, but running ``action`` whenever the walk takes a
+def _planted_lemma(action, in_child=True, parent=os.getpid(), real=blocks._lemma):
+    """``blocks._lemma``, but running ``action`` whenever the walk takes a
     node's last blocks, only in a forked worker (or, with
     ``in_child=False``, only in the test process)."""
 
-    def last_blocks(state, budget):
+    def lemma(*node):
         if (os.getpid() != parent) == in_child:
             action()
-        return closing_blocks(state, budget)
+        return real(*node)
 
-    return last_blocks
+    return lemma
 
 
 def _plant_at_first_block(patch, action, at, in_child=True):
@@ -528,8 +568,8 @@ def _plant_at_first_block(patch, action, at, in_child=True):
 
 
 def _plant_at_last_depth(patch, action, at, in_child=True):
-    planted = _planted_last_blocks(action, in_child)
-    patch.setattr(cycles, "_last_blocks", planted)
+    planted = _planted_lemma(action, in_child)
+    patch.setattr(blocks, "_lemma", planted)
     return planted
 
 
@@ -681,10 +721,10 @@ def test_planted_block_fault_fails_the_simulation(workers, monkeypatch, capsys):
 
 
 def test_vanishing_closure_raises_under_optimize():
-    # The walks step by cycles._extend, the closures by blocks.block_step.
-    # The searches take every closure from blocks.closing_blocks: from the
-    # state (3, 4, 1), block (0, 1) gives P' = 3 * 4 = T' = 4 * 3.  So the
-    # searches start there, or step there.
+    # The walks step each first block by cycles._extend, the closures by
+    # blocks.block_step.  The searches take every closure from the
+    # last-block lemma: from the state (3, 4, 1), block (0, 1) gives
+    # P' = 3 * 4 = T' = 4 * 3.  So the searches start there, or step there.
     code = (
         "import collatz_lab.blocks as B, collatz_lab.cycles as C\n"
         "from collatz_lab.errors import IdentityViolation\n"

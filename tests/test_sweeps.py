@@ -14,7 +14,7 @@ from types import MappingProxyType
 import pytest
 
 import collatz_lab
-from collatz_lab import beta_chain, blocks, cli, polyline, residues
+from collatz_lab import beta_chain, blocks, cli, core, polyline, residues
 from collatz_lab.core import (
     DEFAULT_STEP_LIMIT,
     SIEVE_BITS,
@@ -162,6 +162,20 @@ def test_sieve_survivor_share():
     survivors = _sieve_survivors(DEFAULT_STEP_LIMIT)
     assert len(survivors) == count_unstopped_classes(SIEVE_BITS) + 2  # 3.2% of the classes
     assert _sieve_survivors(2) == tuple(b for b in range(SIEVE_MODULUS) if b & 1 or b == 0)
+
+
+def test_sieve_survivors_are_built_once_per_limit():
+    # 32,769 classes at limit 1, which a sweep would otherwise sort anew on
+    # each call; every limit from the sieve's most steps up shares one entry.
+    survivors = _sieve_survivors(1)
+    assert _sieve_survivors(1) is survivors
+    assert survivors == core._survivors_within.__wrapped__(1)
+    assert len(survivors) == 32_769
+    most = max(steps for _, _, steps in core._descent_steps().proven)
+    assert most == core._SIEVE_MOST_STEPS
+    assert _sieve_survivors(most - 1) != _sieve_survivors(most)
+    unproven = core._descent_steps().unproven
+    assert _sieve_survivors(DEFAULT_STEP_LIMIT) is _sieve_survivors(most) is unproven
 
 
 @pytest.mark.parametrize(
