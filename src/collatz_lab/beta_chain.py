@@ -60,14 +60,12 @@ def solve_beta_chain_paper(k: int) -> Solution:
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
     if k & 1 == 0:
-        m = 0
-        t = k + 1
-    else:
-        t = (k + 1) >> 1
-        m = 1
-        while t & 1 == 0:
-            t >>= 1
-            m += 1
+        return k, 0, k >> 1
+    t = (k + 1) >> 1
+    m = 1
+    while t & 1 == 0:
+        t >>= 1
+        m += 1
     h = (t * 3**m - 1) >> 1
     return k, m, h
 
@@ -106,16 +104,17 @@ def chain_counterexample(k: int) -> tuple[str, str] | None:
         return (f"(m,h)={(m, h)}", f"ladder gave {(ladder[1], ladder[2])}")
     if (k + 1) * 3**m != (2 * h + 1) * 2**m:
         return ("(k+1)*3^m == (2h+1)*2^m", "exact identity violated")
-    # The 2m+1 chain steps, two at a time: beta halves to eta, eta goes to
-    # 3v+1, and the last beta halves onto the landing.  Every beta holds by
-    # arithmetic: v starts at 4k+2, and v = 3 (mod 4) gives 3v+1 = 2 (mod 4).
-    v = 4 * k + 2
-    for j in range(1, 2 * m, 2):
-        v >>= 1
+    # The 2m+1 chain steps: v is the eta at step 2i+1, reached by halving
+    # the beta before it, and (3v+1)/2 is the next eta or the landing.
+    # Every beta holds by arithmetic: the first is 4k+2, and v = 3 (mod 4)
+    # gives 3v+1 = 2 (mod 4).  A counted loop builds no object per k.
+    v = 2 * k + 1
+    i = 0
+    while i < m:
         if v & 3 != 3:
-            return (f"eta at chain step {j}", f"value {v} = 4k+{v & 3 or 4}")
-        v = 3 * v + 1
-    v >>= 1
+            return (f"eta at chain step {2 * i + 1}", f"value {v} = 4k+{v & 3 or 4}")
+        v = (3 * v + 1) >> 1
+        i += 1
     alpha = 4 * h + 1
     if v != alpha or v & 3 != 1:
         return (f"landing {alpha}", str(v))

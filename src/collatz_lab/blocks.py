@@ -273,20 +273,22 @@ def block_counterexample(k0: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple
     v = 4 * k0 + 2
     steps = 0
     for b in _blocks_from(k0):
-        if steps + b.steps > step_limit:
-            return ("a block below the start within the step limit", f"still at k={b.k_in}")
-        steps += b.steps
+        k_in, m, _, _, e, k_out = b
+        n = 2 * m + e + 2  # b.steps; the block's path has n + 1 values
+        steps += n
+        if steps > step_limit:
+            return ("a block below the start within the step limit", f"still at k={k_in}")
         if not recurrence_holds(b):
             return ("block recurrence balance", f"violated at {b}")
         path = block_path(b)
         # the chain, then gamma and its halvings (0 mod 4), then the next beta
-        residues = chain_residues(b.m) + [0] * b.e + [2]
+        residues = chain_residues(m) + [0] * e + [2]
         for i, (expect, want) in enumerate(zip(path, residues, strict=True)):
             if v != expect:
-                return (f"path value {expect} (block k_in={b.k_in}, offset {i})", str(v))
+                return (f"path value {expect} (block k_in={k_in}, offset {i})", str(v))
             if v & 3 != want:
                 return (f"path residue {want} (mod 4)", f"{v} ~ {v & 3} (mod 4)")
-            if i < len(path) - 1:
+            if i < n:
                 v = 3 * v + 1 if v & 1 else v >> 1
-        if b.k_out < floor:
+        if k_out < floor:
             return None

@@ -65,16 +65,11 @@ def to_polyline(z: int) -> Point:
     return (z >> 1) + 1, z >> 1
 
 
-def _check_valid(p: Point) -> None:
-    x, s = p
-    if s < 1 or not 0 <= x - s <= 1:
-        raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
-
-
 def from_polyline(p: Point) -> int:
     """Inverse of to_polyline; rejects count pairs that fit no integer."""
-    _check_valid(p)
     x, s = p
+    if s < 1 or not 0 <= x - s <= 1:  # every point taker validates through here
+        raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
     return x + s - 1
 
 
@@ -84,8 +79,9 @@ _BY_PARITIES = (ResidueClass.ETA, ResidueClass.GAMMA, ResidueClass.BETA, Residue
 
 def class_from_polyline(p: Point) -> ResidueClass:
     """Mod-4 class read off the parities of the two counts."""
-    _check_valid(p)
     x, s = p
+    if s < 1 or not 0 <= x - s <= 1:  # from_polyline's test, inline: the sweep calls both per z
+        raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
     return _BY_PARITIES[2 * (s & 1) + (x & 1)]
 
 
@@ -99,7 +95,7 @@ def step_T_polyline(p: Point) -> Point:
     """One shortcut step in coordinates, with the step law checked.
 
     Raises IdentityViolation when the step law does not balance."""
-    _check_valid(p)
+    from_polyline(p)
     x, s = p
     p1 = to_polyline(t_closed_form(p))
     x1, s1 = p1
@@ -123,7 +119,7 @@ def cycle_residual(seq: Sequence[Point]) -> int:
     if not seq:
         raise DomainError("empty sequence")
     for p in seq:
-        _check_valid(p)
+        from_polyline(p)
     return _tail_sum(seq, range(len(seq)))
 
 
@@ -191,7 +187,7 @@ def shape_residual(
     if tail is not None and not all(0 <= j < len(seq) for j in tail):
         raise DomainError(f"tail {tail} has an index outside range({len(seq)}), the indices of seq")
     for p in seq:
-        _check_valid(p)
+        from_polyline(p)
     for i, want in zip((0, 1, -1), _BOUNDARY_CLASSES[pattern]):
         have = class_from_polyline(seq[i])
         if want is not None and have is not want:

@@ -11,6 +11,7 @@ both, and both must then report the same counterexample, message strings
 included.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +25,17 @@ from collatz_lab.residues import ResidueClass
 TRANSITION_RANGE = range(1, 10**5 + 1)
 CHAIN_RANGE = range(0, 130_001)
 POLYLINE_RANGE = range(1, 60_001)
+
+# Beyond machine words: k = 2^j * t - 1 has m = v2(k+1) = j (t odd), so the
+# replay runs up to 300 eta steps; the seeded k are 64 to 4,096 bits long.
+_rng = random.Random(2015)
+BIG_CHAIN_INPUTS = [(t << j) - 1 for j in range(301) for t in (1, 3, 5, 7)] + [
+    _rng.getrandbits(bits) | 1 << (bits - 1)
+    for bits in (_rng.randint(64, 4096) for _ in range(1000))
+]
+BIG_POLYLINE_INPUTS = [(1 << j) + d for j in range(100) for d in (-1, 0, 1) if (1 << j) + d >= 1] + [
+    _rng.randint(1, 10**30) for _ in range(1000)
+] + [10**30 - 1, 10**30]
 
 # ---- reference bodies -------------------------------------------------------
 
@@ -90,6 +102,13 @@ def ref_to_polyline(z):
         half = (z + 1) >> 1
         return (half, half)
     return ((z >> 1) + 1, z >> 1)
+
+
+def ref_from_polyline(p):
+    x, s = p
+    if s < 1 or x not in (s, s + 1):
+        raise InvalidPolyline(f"(x={x}, s={s}) describes no positive integer")
+    return x + s - 1
 
 
 def ref_class_from_polyline(p):
@@ -185,6 +204,14 @@ def test_chain_kernel_equals_reference():
     assert got == [ref_chain_counterexample(k) for k in CHAIN_RANGE]
 
 
+def test_chain_fast_paths_equal_reference_beyond_machine_words():
+    assert {v2(k + 1) for k in BIG_CHAIN_INPUTS} >= set(range(301))
+    for k in BIG_CHAIN_INPUTS:
+        assert _same(beta_chain.solve_beta_chain(k), ref_solve_beta_chain(k)), k
+        assert _same(beta_chain.solve_beta_chain_paper(k), ref_solve_beta_chain_paper(k)), k
+        assert beta_chain.chain_counterexample(k) == ref_chain_counterexample(k), k
+
+
 def test_polyline_coordinates_equal_reference():
     for z in POLYLINE_RANGE:
         p = polyline.to_polyline(z)
@@ -197,13 +224,27 @@ def test_polyline_kernel_equals_reference():
     assert got == [ref_polyline_counterexample(z) for z in POLYLINE_RANGE]
 
 
+def test_polyline_fast_paths_equal_reference_beyond_machine_words():
+    assert max(BIG_POLYLINE_INPUTS) == 10**30
+    for z in BIG_POLYLINE_INPUTS:
+        p = polyline.to_polyline(z)
+        assert _same(p, ref_to_polyline(z)), z
+        assert polyline.from_polyline(p) == ref_from_polyline(p) == z
+        assert polyline.class_from_polyline(p) is ref_class_from_polyline(p), z
+        assert polyline.polyline_counterexample(z) == ref_polyline_counterexample(z), z
+
+
 @pytest.mark.parametrize("bad", [(5, 3), (1, 2), (0, 0), (3, 0)])
 def test_invalid_polylines_rejected_alike(bad):
-    with pytest.raises(InvalidPolyline) as fast:
-        polyline.class_from_polyline(bad)
-    with pytest.raises(InvalidPolyline) as ref:
-        ref_class_from_polyline(bad)
-    assert str(fast.value) == str(ref.value)
+    for fast_check, ref_check in (
+        (polyline.class_from_polyline, ref_class_from_polyline),
+        (polyline.from_polyline, ref_from_polyline),
+    ):
+        with pytest.raises(InvalidPolyline) as fast:
+            fast_check(bad)
+        with pytest.raises(InvalidPolyline) as ref:
+            ref_check(bad)
+        assert str(fast.value) == str(ref.value)
 
 
 # ---- planted faults: the same counterexamples from both ---------------------

@@ -49,6 +49,18 @@ def test_from_polyline_rejects_bad_counts():
         from_polyline((0, 0))
 
 
+@pytest.mark.parametrize("bad", [(5, 3), (1, 2), (0, 0)])
+def test_shared_validity_check_rejects_bad_counts(bad):
+    # from_polyline and class_from_polyline spell the validity test inline;
+    # the other point takers validate each point through from_polyline.
+    with pytest.raises(InvalidPolyline):
+        step_T_polyline(bad)
+    with pytest.raises(InvalidPolyline):
+        cycle_residual([bad])
+    with pytest.raises(InvalidPolyline):
+        shape_residual([bad, (1, 1)], "pure_ab")
+
+
 @given(st.integers(min_value=1, max_value=10**40))
 def test_roundtrip(z):
     p = to_polyline(z)
