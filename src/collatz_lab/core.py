@@ -12,8 +12,8 @@ Each runs once per input of a sweep or a record table, or once per step of a
 long orbit, so a call per step would cost more than the walk.  ``glide``,
 ``delay_sieve`` and ``drop_counterexample`` walk the descent rule (n falls
 below itself within a step limit).  ``_descent_steps``, the convergence
-sweep's sieve, proves it by class mod 2^16 for all but 3.2% of the classes,
-and gives each class it leaves a Terras jump over its first 16 shortcut
+sweep's sieve, proves it for every n >= 2 of all but 3.2% of the classes mod
+2^16, and gives each class it leaves a Terras jump over its first 16 shortcut
 steps, which ``drop_counterexample`` takes.
 """
 
@@ -23,7 +23,7 @@ from bisect import bisect_left
 from functools import cache
 from typing import Iterable, NamedTuple
 
-from .errors import DomainError, LimitExceeded
+from .errors import DomainError, IdentityViolation, LimitExceeded
 
 DEFAULT_STEP_LIMIT = 100_000
 SIEVE_BITS = 16
@@ -226,9 +226,9 @@ def count_unstopped_classes(k: int) -> int:
     k exactly once (Terras 1976), so this counts the lattice paths of k
     steps, each adding 0 or 1 to c, that keep 3^c > 2^j after every step j.
 
-    Not in ``__all__``: it sizes the sieve (the unproven classes mod 2^k
-    but 0 and 1) for the deeper tables and the 10^9 convergence run that
-    ROADMAP item 6 plans, and tests tie it to ``_descent_steps`` meanwhile.
+    Not in ``__all__``: it sizes the sieve (the jump classes mod 2^k) for
+    the deeper tables and the 10^9 convergence run that ROADMAP item 6
+    plans, and tests tie it to ``_descent_steps`` meanwhile.
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -243,30 +243,14 @@ def count_unstopped_classes(k: int) -> int:
 
 
 class _Sieve(NamedTuple):
-    """The descent sieve mod 2^SIEVE_BITS.  ``proven`` holds a (b, d, steps)
-    for each class b mod 2^d whose every n >= 1 falls below n within
-    ``steps`` raw steps, where no class mod 2^(d-1) holding it is proven.
-    ``unproven`` lists, sorted, the classes mod 2^SIEVE_BITS left over, and
-    ``jumps`` maps each of them but 0 and 1 to (3^c, T^K(b), K + c), with K =
-    SIEVE_BITS and c the odd steps among its first K shortcut steps."""
+    """The descent sieve mod 2^K, K = SIEVE_BITS.  ``proven`` holds a
+    (b, d, steps) for each class b mod 2^d whose every n >= 2 falls below n
+    within ``steps`` raw steps, where no class mod 2^(d-1) holding it is
+    proven.  ``jumps`` maps each class mod 2^K left over to (3^c, T^K(b),
+    K + c), c the odd steps among its first K shortcut steps."""
 
     proven: tuple[tuple[int, int, int], ...]
-    unproven: tuple[int, ...]
     jumps: dict[int, tuple[int, int, int]]
-
-
-def _class_walk(b: int, d: int) -> tuple[int | None, int, int, bool]:
-    """The first d shortcut steps of the class b mod 2^d, walked from b:
-    (steps, T^d(b), c, stopped), with steps None unless some j <= d has
-    3^c < 2^j and T^j(b) < b, and stopped when some j has 3^c < 2^j."""
-    t, c, stopped = b, 0, False
-    for j in range(1, d + 1):
-        t, c = ((3 * t + 1) >> 1, c + 1) if t & 1 else (t >> 1, c)
-        if 3**c < 1 << j:
-            if t < b:
-                return j + c, t, c, True
-            stopped = True
-    return None, t, c, stopped
 
 
 @cache
@@ -274,50 +258,42 @@ def _descent_steps() -> _Sieve:
     """The descent sieve mod 2^SIEVE_BITS, refined one bit at a time from
     the one class mod 1.  Built once per process, with exact integers.
 
-    Terras (1976): the first d shortcut steps of n = 2^d*a + b have the
-    parities of those of b, so for j <= d, T^j(n) = 3^c * 2^(d-j) * a +
-    T^j(b), with c the odd steps among them.  The first j with 3^c < 2^j
-    and T^j(b) < b gives T^j(n) < n after j + c raw steps (each odd shortcut
-    step is two): for a = 0 that is T^j(b) < b itself.
-
-    An unproven class b mod 2^d splits into b and b + 2^d mod 2^(d+1), whose
-    T^d are T^d(b) and T^d(b) + 3^c; one more shortcut step of each tests
-    j = d + 1.  Where the parent already had 3^c < 2^j at some j, a child may
-    be proven at that earlier j, so it is walked anew from its least member;
-    that happens only to the classes 0 and 1.  Every other class left at
-    depth K has 3^c > 2^j at each j <= K, so for every n >= 1 in it
-    T^j(n) = (3^c * n + r) / 2^j, with r >= 0, stays above n: its n need no
-    least a for the jump T^K(n) = 3^c * a + T^K(b) after K + c raw steps.
+    Terras (1976): the first j shortcut steps of n = 2^j*a + b have the
+    parities of those of b, so T^j(n) = 3^c * a + T^j(b), with c the odd
+    steps among them.  A class b mod 2^d splits into b and b + 2^d, whose
+    T^d are T^d(b) and T^d(b) + 3^c, and one more shortcut step of each
+    gives T^j and c at j = d + 1.  While 3^c > 2^j, no n >= 1 of the class
+    has fallen below n, so it splits again; one left at depth K takes the
+    jump T^K(n) = 3^c * a + T^K(b), K + c raw steps (each odd shortcut
+    step is two).  At the first j with 3^c < 2^j, n - T^j(n) =
+    (2^j - 3^c)*a + b - T^j(b), so every n >= 2 of the class falls below n
+    within j + c raw steps if T^j(b) < b, or if b < 2 (then a >= 1 and
+    T^j(b) = b: 0 at j = 1, 1 at j = 2).  Any other class would stop
+    without a drop, which raises IdentityViolation.
     """
     pow3 = [3**c for c in range(SIEVE_BITS + 1)]
     proven = []
-    level = [(0, 0, 0, False)]  # unproven (b, T^d(b), c, stopped) at depth d
+    level = [(0, 0, 0)]  # the classes (b, T^d(b), c) at depth d left to split
     for d in range(SIEVE_BITS):
         top, nxt = 2 << d, []
-        for b, t, c, stopped in level:
+        for b, t, c in level:
             for child, u in ((b, t), (b + (1 << d), t + pow3[c])):
-                if stopped:
-                    steps, u, c2, stopped2 = _class_walk(child, d + 1)
-                    if steps is None:
-                        nxt.append((child, u, c2, stopped2))
-                    else:
-                        proven.append((child, d + 1, steps))
-                    continue
                 if u & 1:
                     u, c2 = (3 * u + 1) >> 1, c + 1
                 else:
                     u, c2 = u >> 1, c
                 if pow3[c2] > top:
-                    nxt.append((child, u, c2, False))
-                elif u < child:
+                    nxt.append((child, u, c2))
+                elif u < child or child < 2:
                     proven.append((child, d + 1, d + 1 + c2))
                 else:
-                    nxt.append((child, u, c2, True))
+                    raise IdentityViolation(
+                        f"the class {child} mod 2^{d + 1} stops at j = {d + 1} without a drop"
+                    )
         level = nxt
     return _Sieve(
         proven=tuple(proven),
-        unproven=tuple(sorted([node[0] for node in level])),
-        jumps={b: (pow3[c], t, SIEVE_BITS + c) for b, t, c, stopped in level if not stopped},
+        jumps={b: (pow3[c], t, SIEVE_BITS + c) for b, t, c in level},
     )
 
 
@@ -326,9 +302,9 @@ _SIEVE_MOST_STEPS = 26  # the most raw steps that a class proven by the sieve ne
 
 def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
     """The classes mod 2^16 whose descent the sieve does not prove within
-    ``step_limit`` raw steps, sorted: the unproven ones, and each class mod
+    ``step_limit`` raw steps, sorted: the jump classes, and each class mod
     2^16 inside a class proven in more steps than that.  Built once per
-    limit; from ``_SIEVE_MOST_STEPS`` up, they are the unproven classes."""
+    limit; from ``_SIEVE_MOST_STEPS`` up, they are the jump classes."""
     return _survivors_within(min(step_limit, _SIEVE_MOST_STEPS))
 
 
@@ -341,7 +317,7 @@ def _survivors_within(step_limit: int) -> tuple[int, ...]:
         if steps > step_limit
         for member in range(b, SIEVE_MODULUS, 1 << d)
     ]
-    return tuple(sorted([*sieve.unproven, *late])) if late else sieve.unproven
+    return tuple(sorted([*sieve.jumps, *late]))
 
 
 def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int]:

@@ -3,6 +3,8 @@ import json
 import os
 import pkgutil
 import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +108,42 @@ def test_max_zero_is_one_input_where_the_sweep_starts_at_zero(what, capsys):
 def test_help_exits_0(capsys):
     assert run("--help") == 0
     assert "collatz-lab" in capsys.readouterr().out
+
+
+WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+
+
+def _workflow_invocations():
+    """Each ``collatz-lab`` command line of the CI workflow, as an argv.  The
+    workflow is read as text: the CI matrix has no YAML parser.  An argv ends
+    at the shell's first operator (a pipe, a redirect, ``;`` or the ``)`` of
+    a command substitution), and an argument holding a ``$`` expansion reads
+    as 1."""
+    for line in WORKFLOW.read_text().splitlines():
+        for match in re.finditer(r"(?<![\w-])collatz-lab\s", line):
+            argv = []
+            for token in shlex.shlex(line[match.end() :], posix=True, punctuation_chars=True):
+                if token[0] in "();<>|&":
+                    break
+                argv.append("1" if "$" in token else token)
+            yield argv
+
+
+def test_ci_workflow_command_lines_parse(capsys):
+    # A misspelled command or flag in a CI line would otherwise show only on
+    # the remote runner.  Exit codes are left to the workflow itself.
+    invocations = list(_workflow_invocations())
+    commands = {"classify", "trajectory", "polyline", "verify", "cycles", "records", "tree"}
+    assert {argv[0] for argv in invocations} == commands
+    assert ["verify", "--help"] in invocations
+    for argv in invocations:
+        if "--help" in argv:
+            assert run(*argv) == 0, argv
+            continue
+        try:
+            cli.build_parser().parse_args(argv)
+        except cli.UsageError as exc:
+            pytest.fail(f"{argv}: {exc}")
 
 
 def test_verify_passes_exit_0(capsys):

@@ -106,8 +106,9 @@ def _brute_classes(bits):
 
 def test_sieve_table_equals_a_brute_force_table():
     # The refined table, spread over every class mod 2^16, is the table a
-    # walk of each class builds; the classes it leaves are the unstopped
-    # ones, plus 0 and 1.
+    # walk of each class builds, for the classes 2 and up; the classes 0
+    # and 1, whose least members never fall, are proven for their n >= 2 in
+    # 1 and 3 raw steps.  The classes it leaves are the unstopped ones.
     sieve = _descent_steps()
     table = [None] * SIEVE_MODULUS
     for b, d, steps in sieve.proven:
@@ -115,21 +116,21 @@ def test_sieve_table_equals_a_brute_force_table():
             assert table[b + (i << d)] is None, (b, d)
             table[b + (i << d)] = steps
     rows = _brute_classes(SIEVE_BITS)
-    assert table == [steps for steps, _ in rows]
+    assert table[2:] == [steps for steps, _ in rows[2:]]
+    assert table[:2] == [1, 3]
     unstopped = [b for b, (_, flag) in enumerate(rows) if flag]
-    assert list(sieve.unproven) == [0, 1, *unstopped]
     assert sorted(sieve.jumps) == unstopped
 
 
 def test_sieve_table_claims_hold():
     # Each proven class b mod 2^d really falls below its start within the
-    # steps the table claims, for several a in n = 2^d * a + b, a = 0
-    # included.  Each jump's first 16 + c raw steps from n = 2^16 * a + b
-    # stay at or above n and land on 3^c * a + T^16(b).
+    # steps the table claims, for several a in n = 2^d * a + b >= 2, a = 0
+    # included where b >= 2.  Each jump's first 16 + c raw steps from
+    # n = 2^16 * a + b stay at or above n and land on 3^c * a + T^16(b).
     sieve = _descent_steps()
     many = (0, 1, 2, 3, 5, 1000, 10**30 + 7)
     for b, d, steps in sieve.proven:
-        for a in many:
+        for a in many[1:] if b < 2 else many:
             assert glide((a << d) + b) <= steps, (a, b, d)
     for b, (three_c, t, raw_steps) in sieve.jumps.items():
         for a in many:
@@ -140,7 +141,7 @@ def test_sieve_table_claims_hold():
             assert v == three_c * a + t, (a, b)
     # The classes 0 and 1 have no jump: each of their n > 1 falls below
     # itself within 16 shortcut steps.
-    assert sieve.unproven[:2] == (0, 1) and {0, 1}.isdisjoint(sieve.jumps)
+    assert {0, 1}.isdisjoint(sieve.jumps)
     assert glide(SIEVE_MODULUS) == 1 and glide(SIEVE_MODULUS + 1) == 3
 
 
@@ -149,7 +150,7 @@ def test_unstopped_classes_are_counted_exactly(k, brute):
     assert count_unstopped_classes(k) == brute
     assert sum(flag for _, flag in _brute_classes(k)) == brute
     if k == SIEVE_BITS:
-        assert len(_descent_steps().unproven) - 2 == brute
+        assert len(_descent_steps().jumps) == brute
 
 
 def test_unstopped_class_count_domain():
@@ -160,22 +161,23 @@ def test_unstopped_class_count_domain():
 
 def test_sieve_survivor_share():
     survivors = _sieve_survivors(DEFAULT_STEP_LIMIT)
-    assert len(survivors) == count_unstopped_classes(SIEVE_BITS) + 2  # 3.2% of the classes
-    assert _sieve_survivors(2) == tuple(b for b in range(SIEVE_MODULUS) if b & 1 or b == 0)
+    assert len(survivors) == count_unstopped_classes(SIEVE_BITS)  # 3.2% of the classes
+    assert _sieve_survivors(2) == tuple(range(1, SIEVE_MODULUS, 2))
 
 
 def test_sieve_survivors_are_built_once_per_limit():
-    # 32,769 classes at limit 1, which a sweep would otherwise sort anew on
+    # 32,768 classes at limit 1, which a sweep would otherwise sort anew on
     # each call; every limit from the sieve's most steps up shares one entry.
     survivors = _sieve_survivors(1)
     assert _sieve_survivors(1) is survivors
     assert survivors == core._survivors_within.__wrapped__(1)
-    assert len(survivors) == 32_769
+    assert len(survivors) == 32_768
     most = max(steps for _, _, steps in core._descent_steps().proven)
     assert most == core._SIEVE_MOST_STEPS
     assert _sieve_survivors(most - 1) != _sieve_survivors(most)
-    unproven = core._descent_steps().unproven
-    assert _sieve_survivors(DEFAULT_STEP_LIMIT) is _sieve_survivors(most) is unproven
+    jumps = sorted(core._descent_steps().jumps)
+    assert _sieve_survivors(DEFAULT_STEP_LIMIT) is _sieve_survivors(most)
+    assert list(_sieve_survivors(most)) == jumps
 
 
 @pytest.mark.parametrize(
