@@ -56,7 +56,12 @@ class UsageError(Exception):
 
 class _Parser(argparse.ArgumentParser):
     """argparse that reports bad usage as an exception, not sys.exit(2);
-    exit code 2 is reserved for found counterexamples."""
+    exit code 2 is reserved for found counterexamples.  It takes no
+    abbreviated flag (``--lim`` for ``--limit``), and neither does any
+    subparser, each of which is a ``_Parser`` too."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise UsageError(message)

@@ -14,7 +14,9 @@ long orbit, so a call per step would cost more than the walk.  ``glide``,
 below itself within a step limit).  ``_descent_steps``, the convergence
 sweep's sieve, proves it for every n >= 2 of all but 3.2% of the classes mod
 2^16, and gives each class it leaves a Terras jump over its first 16 shortcut
-steps, which ``drop_counterexample`` takes.
+steps, which ``drop_counterexample`` takes.  From there that kernel walks in
+chunks of 8 shortcut steps, one lookup in a 256-row table each, which the
+sieve's own one-bit refinement builds; near the limit it walks raw steps.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ DEFAULT_STEP_LIMIT = 100_000
 SIEVE_BITS = 16
 SIEVE_MODULUS = 1 << SIEVE_BITS
 _SIEVE_MASK = SIEVE_MODULUS - 1
+CHUNK_BITS = 8  # the shortcut steps of one chunk of the convergence walk
+_CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
 __all__ = [
     "DEFAULT_STEP_LIMIT",
@@ -202,14 +206,32 @@ def drop_counterexample(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[s
     An n >= 1 whose class mod 2^16 has a jump in ``_descent_steps`` starts
     its walk at T^16(n) = 3^c * a + T^16(b), with the 16 + c raw steps that
     take n there counted, when they fit in the limit: none of them is below
-    n.  Every other n walks from n, so the result is the raw walk's.
+    n.  From there it walks in chunks of CHUNK_BITS shortcut steps: w goes
+    to 3^c(r) * (w >> 8) + T^8(r), r = w mod 2^8, in 8 + c(r) raw steps,
+    and a chunk that lands below n is a drop within the steps counted.  A
+    drop inside a chunk that climbs back above n before its end is found
+    at a later chunk, or not at all: so when the next chunk would pass the
+    limit, the raw walk from n decides, not a walk on from w.  It starts
+    at the jump's landing, whose steps from n are all at or above n.
+    Every other n walks from n, so the result, the value "still at"
+    included, is the raw walk's.
     """
     v, done = n, 0
     if n > 0:
-        jump = _descent_steps().jumps.get(n & _SIEVE_MASK)
+        sieve = _descent_steps()
+        jump = sieve.jumps.get(n & _SIEVE_MASK)
         if jump is not None and jump[2] <= step_limit:
             three_c, t, done = jump
             v = three_c * (n >> SIEVE_BITS) + t
+            w, walked, chunks = v, done, sieve.chunks
+            while True:
+                three_c, t, steps = chunks[w & _CHUNK_MASK]
+                walked += steps
+                if walked > step_limit:
+                    break
+                w = three_c * (w >> CHUNK_BITS) + t
+                if w < n:
+                    return None
     for _ in range(step_limit - done):
         v = 3 * v + 1 if v & 1 else v >> 1
         if v < n:
@@ -226,9 +248,9 @@ def count_unstopped_classes(k: int) -> int:
     k exactly once (Terras 1976), so this counts the lattice paths of k
     steps, each adding 0 or 1 to c, that keep 3^c > 2^j after every step j.
 
-    Not in ``__all__``: it sizes the sieve (the jump classes mod 2^k) for
-    the deeper tables and the 10^9 convergence run that ROADMAP item 6
-    plans, and tests tie it to ``_descent_steps`` meanwhile.
+    Not in ``__all__``: it sizes the sieve, whose jump classes mod 2^16
+    are the ones it counts (tests tie it to ``_descent_steps``), and would
+    size a deeper one.
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -247,10 +269,31 @@ class _Sieve(NamedTuple):
     (b, d, steps) for each class b mod 2^d whose every n >= 2 falls below n
     within ``steps`` raw steps, where no class mod 2^(d-1) holding it is
     proven.  ``jumps`` maps each class mod 2^K left over to (3^c, T^K(b),
-    K + c), c the odd steps among its first K shortcut steps."""
+    K + c), c the odd steps among its first K shortcut steps.  ``chunks``
+    holds the same triple (3^c, T^8(r), 8 + c) for each r < 2^8, 8 =
+    CHUNK_BITS, at index r: one chunk of the convergence walk."""
 
     proven: tuple[tuple[int, int, int], ...]
     jumps: dict[int, tuple[int, int, int]]
+    chunks: tuple[tuple[int, int, int], ...]
+
+
+_POW3 = [3**c for c in range(max(SIEVE_BITS, CHUNK_BITS) + 1)]
+
+
+def _split(level: list[tuple[int, int, int]], d: int) -> list[tuple[int, int, int]]:
+    """The one-bit refinement: each class (b, T^d(b), c) mod 2^d of
+    ``level`` splits into b and b + 2^d mod 2^(d+1), whose T^d are T^d(b)
+    and T^d(b) + 3^c; one more shortcut step of each gives its T^(d+1) and
+    odd steps."""
+    out = []
+    for b, t, c in level:
+        for child, u in ((b, t), (b + (1 << d), t + _POW3[c])):
+            if u & 1:
+                out.append((child, (3 * u + 1) >> 1, c + 1))
+            else:
+                out.append((child, u >> 1, c))
+    return out
 
 
 @cache
@@ -270,30 +313,31 @@ def _descent_steps() -> _Sieve:
     within j + c raw steps if T^j(b) < b, or if b < 2 (then a >= 1 and
     T^j(b) = b: 0 at j = 1, 1 at j = 2).  Any other class would stop
     without a drop, which raises IdentityViolation.
+
+    The chunk table is the same refinement, ``_split``, run CHUNK_BITS
+    levels deep with no class stopped: T^8(r) and c for every r < 2^8.
     """
-    pow3 = [3**c for c in range(SIEVE_BITS + 1)]
     proven = []
     level = [(0, 0, 0)]  # the classes (b, T^d(b), c) at depth d left to split
     for d in range(SIEVE_BITS):
         top, nxt = 2 << d, []
-        for b, t, c in level:
-            for child, u in ((b, t), (b + (1 << d), t + pow3[c])):
-                if u & 1:
-                    u, c2 = (3 * u + 1) >> 1, c + 1
-                else:
-                    u, c2 = u >> 1, c
-                if pow3[c2] > top:
-                    nxt.append((child, u, c2))
-                elif u < child or child < 2:
-                    proven.append((child, d + 1, d + 1 + c2))
-                else:
-                    raise IdentityViolation(
-                        f"the class {child} mod 2^{d + 1} stops at j = {d + 1} without a drop"
-                    )
+        for child, u, c in _split(level, d):
+            if _POW3[c] > top:
+                nxt.append((child, u, c))
+            elif u < child or child < 2:
+                proven.append((child, d + 1, d + 1 + c))
+            else:
+                raise IdentityViolation(
+                    f"the class {child} mod 2^{d + 1} stops at j = {d + 1} without a drop"
+                )
         level = nxt
+    chunks = [(0, 0, 0)]
+    for d in range(CHUNK_BITS):
+        chunks = _split(chunks, d)
     return _Sieve(
         proven=tuple(proven),
-        jumps={b: (pow3[c], t, SIEVE_BITS + c) for b, t, c in level},
+        jumps={b: (_POW3[c], t, SIEVE_BITS + c) for b, t, c in level},
+        chunks=tuple((_POW3[c], t, CHUNK_BITS + c) for _, t, c in sorted(chunks)),
     )
 
 

@@ -69,6 +69,21 @@ def test_usage_errors_exit_1(argv, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("verify", "convergence", "--max", "100", "--lim", "1", "--work", "1"), "--lim"),
+        (("cycles", "search", "--n-m", "2", "--bud", "6"), "--n-max"),
+    ],
+)
+def test_abbreviated_flags_are_usage_errors(argv, flag, capsys):
+    # Taken as --limit 1, the first would run the sweep and exit 2.
+    assert run(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("usage error: ") and flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("classify", "0"), "classify needs z >= 1, got 0"),

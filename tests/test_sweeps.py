@@ -16,6 +16,7 @@ import pytest
 import collatz_lab
 from collatz_lab import beta_chain, blocks, cli, core, polyline, residues
 from collatz_lab.core import (
+    CHUNK_BITS,
     DEFAULT_STEP_LIMIT,
     SIEVE_BITS,
     SIEVE_MODULUS,
@@ -145,6 +146,18 @@ def test_sieve_table_claims_hold():
     assert glide(SIEVE_MODULUS) == 1 and glide(SIEVE_MODULUS + 1) == 3
 
 
+def test_chunk_table_equals_a_brute_force_walk():
+    # Row r is (3^c, T^8(r), 8 + c) from a walk of r's own first 8 shortcut
+    # steps, c the odd ones among them.
+    chunks = _descent_steps().chunks
+    assert CHUNK_BITS == 8 and len(chunks) == 1 << CHUNK_BITS
+    for r, row in enumerate(chunks):
+        t, c = r, 0
+        for _ in range(CHUNK_BITS):
+            t, c = ((3 * t + 1) // 2, c + 1) if t % 2 else (t // 2, c)
+        assert row == (3**c, t, CHUNK_BITS + c), r
+
+
 @pytest.mark.parametrize("k, brute", [(8, 19), (12, 226), (16, 2114)])
 def test_unstopped_classes_are_counted_exactly(k, brute):
     assert count_unstopped_classes(k) == brute
@@ -221,6 +234,21 @@ def test_sieved_convergence_equals_raw_across_the_jump_lengths():
     lengths = {raw_steps for *_, raw_steps in _descent_steps().jumps.values()}
     assert lengths == set(range(27, 33))
     limits = range(24, 35)
+    raw = _raw_convergence(2 * 10**5, limits)
+    for limit in limits:
+        sieved = verify_convergence(2 * 10**5, step_limit=limit, workers=1)
+        assert sieved.counterexamples, limit
+        _assert_raw_report(sieved, 2 * 10**5, limit, raw[limit])
+
+
+def test_chunked_convergence_equals_raw_from_the_jumps_to_the_glide_records():
+    # From limit 33 on, every jump (27 to 32 raw steps) fits and its n walks
+    # in 8-step chunks; 140 passes glide(27) = 96 and glide(703) = 132.
+    # Across these limits, some n drop inside the chunk that would pass the
+    # limit, and some inside an earlier chunk that climbs back above n by
+    # its end: the raw walk from n decides both.  One raw walk per n serves
+    # every limit.
+    limits = range(33, 141)
     raw = _raw_convergence(2 * 10**5, limits)
     for limit in limits:
         sieved = verify_convergence(2 * 10**5, step_limit=limit, workers=1)
