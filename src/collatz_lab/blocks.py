@@ -26,8 +26,10 @@ returns whether a real block balances one step; the blocks sweep kernel,
 ``block_state`` folds the step over a checked parameter list, and the
 cycle search (``cycles``) takes it once per first block.  The last-block
 lemma, derived from the step, finds the last blocks that close a state
-without taking each step, and steps a node's children from the same
-quantities; ``closing_blocks`` is its case of one block.  The step also
+without taking each step, and steps a node's children, those that leave
+room for one more block, from the same quantities.  Every search enters
+it through ``_closing_lists``; at depth 1 that gives the last blocks
+that close one state.  The step also
 makes sense for *formal* parameter lists (m_j, e_j) that need not come
 from a real trajectory, for which (T * k_0 + S) / P need not be an
 integer; the cycle search exploits them.
@@ -50,7 +52,6 @@ __all__ = [
     "decompose_until_trivial",
     "block_step",
     "block_state",
-    "closing_blocks",
     "recurrence_holds",
     "block_counterexample",
 ]
@@ -216,21 +217,12 @@ def _lemma(p: int, t: int, q: int, budget: int, depth: int, path: Blocks, found:
 def _closing_lists(state: State, budget: int, depth: int, path: Blocks = ()) -> list:
     """Every list of 1 to ``depth`` more blocks, sum(m) + sum(e) <= budget,
     that closes the state at an integer k_0 >= 0, as (path + the list, k_0),
-    from one ``_lemma`` per node.  The state's P and T must be positive."""
+    from one ``_lemma`` per node, each length in walk order, m then e.
+    The state's P and T must be positive."""
     p, t, s = state
     found: list[tuple[Blocks, int]] = []
     _lemma(p, t, 2 * (s + p) - t, budget, depth, path, found)
     return found
-
-
-def closing_blocks(state: State, budget: int) -> Iterator[tuple[int, int, int]]:
-    """Every last block (m, e) with m + e <= budget that closes the state
-    at a non-negative integer: (m, e, k_0) in walk order, m then e, for
-    each (P', T', S') = ``block_step(state, m, e)`` with
-    ``divmod(S', P' - T') == (k_0, 0)`` and k_0 >= 0, without the steps:
-    ``_lemma`` at depth 1.  The state's P and T must be positive."""
-    for ((m, e),), k in _closing_lists(state, budget, 1):
-        yield m, e, k
 
 
 def block_state(m_seq: Sequence[int], e_seq: Sequence[int]) -> State:

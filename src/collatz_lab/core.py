@@ -271,11 +271,13 @@ class _Sieve(NamedTuple):
     proven.  ``jumps`` maps each class mod 2^K left over to (3^c, T^K(b),
     K + c), c the odd steps among its first K shortcut steps.  ``chunks``
     holds the same triple (3^c, T^8(r), 8 + c) for each r < 2^8, 8 =
-    CHUNK_BITS, at index r: one chunk of the convergence walk."""
+    CHUNK_BITS, at index r: one chunk of the convergence walk.
+    ``most_steps`` is the most raw steps that a proven class needs."""
 
     proven: tuple[tuple[int, int, int], ...]
     jumps: dict[int, tuple[int, int, int]]
     chunks: tuple[tuple[int, int, int], ...]
+    most_steps: int
 
 
 _POW3 = [3**c for c in range(max(SIEVE_BITS, CHUNK_BITS) + 1)]
@@ -338,18 +340,16 @@ def _descent_steps() -> _Sieve:
         proven=tuple(proven),
         jumps={b: (_POW3[c], t, SIEVE_BITS + c) for b, t, c in level},
         chunks=tuple((_POW3[c], t, CHUNK_BITS + c) for _, t, c in sorted(chunks)),
+        most_steps=max(steps for *_, steps in proven),
     )
-
-
-_SIEVE_MOST_STEPS = 26  # the most raw steps that a class proven by the sieve needs
 
 
 def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
     """The classes mod 2^16 whose descent the sieve does not prove within
     ``step_limit`` raw steps, sorted: the jump classes, and each class mod
     2^16 inside a class proven in more steps than that.  Built once per
-    limit; from ``_SIEVE_MOST_STEPS`` up, they are the jump classes."""
-    return _survivors_within(min(step_limit, _SIEVE_MOST_STEPS))
+    limit; from the sieve's ``most_steps`` up, they are the jump classes."""
+    return _survivors_within(min(step_limit, _descent_steps().most_steps))
 
 
 @cache

@@ -24,11 +24,13 @@ closure here raises ``IdentityViolation`` where it would.
 node is a list of blocks with its state and the budget left.  One loop
 over m per node, the last-block lemma of ``blocks``, tests only the e
 that can close under the node's state and steps, from the same
-quantities, the children that leave room for one more block.  A box
-large enough to repay a fork is walked on the fork engine of ``sweeps``,
-one first block per item; the solutions come back in walk order, so the
-result does not depend on the worker count.  ``search_cycles_n1`` is the
-lemma's case n = 1: the closing blocks of ``START`` that fall in its box.
+quantities, the children that leave room for one more block.  ``START``
+is such a node: its last blocks are the solutions of length 1, and its
+children are the first blocks.  A box large enough to repay a fork is
+walked on the fork engine of ``sweeps``, one first block per item; the
+solutions come back in walk order, so the result does not depend on the
+worker count.  ``search_cycles_n1`` is the lemma's case n = 1: the last
+blocks that close ``START`` and fall in its box.
 
 A closing list is *simulated* against the genuine block decomposition; a
 formal solution that the map itself does not follow is returned with
@@ -42,7 +44,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import START, _blocks_from, _closing_lists, _vanished, block_state, closing_blocks
+from .blocks import START, _blocks_from, _closing_lists, _vanished, block_state
 from .blocks import block_step as _extend  # the first-block step; a patch reaches it
 from .errors import DomainError
 from .sweeps import _fork_map, resolve_workers
@@ -122,14 +124,14 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
       since e >= 1, which is impossible.
 
     So e + m + 1 <= 2m + 2, as 3^(m+1) < 4^(m+1), and a block of the box
-    that closes fits the budget below.  ``blocks.closing_blocks(START, ...)``,
-    the last-block lemma's case n = 1, tests that one e per m, and the
-    budget ends its m loop near 1.26 * m_max however large e_max is.
+    that closes fits the budget below.  The last-block lemma at ``START``,
+    its case n = 1, tests that one e per m, and the budget ends its m loop
+    near 1.26 * m_max however large e_max is.
     """
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
-    blocks = closing_blocks(START, m_max + min(e_max, m_max + 1))
-    return [_hit([(m, e)], k0) for m, e, k0 in blocks if m <= m_max and e <= e_max]
+    lasts = _closing_lists(START, m_max + min(e_max, m_max + 1), 1)
+    return [_hit([(m, e)], k0) for ((m, e),), k0 in lasts if m <= m_max and e <= e_max]
 
 
 # A candidate costs 0.1 to 0.7 us and a fork 2 to 3 ms.  On a 2-vCPU host
@@ -163,7 +165,9 @@ def search_cycles(
     lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...).
     One m loop per node, the last-block lemma, finds the lists one block
     longer that close and steps the children that leave room for another
-    block; the closing blocks of ``START`` are the solutions of length 1.
+    block, m + e below the node's budget.  ``START`` is the first node:
+    its last blocks are the solutions of length 1, and its children, the
+    first blocks, are the walk's items.
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of
@@ -179,13 +183,14 @@ def search_cycles(
     claimed, the one it failed in last.
     """
     total = count_candidates(n_max, exp_budget)
-    # the first blocks (m, e) in walk order; no walk lies below one if n_max = 1
+    # the children (m, e) of START in walk order, as the lemma steps them;
+    # no walk lies below one if n_max = 1
     firsts = []
     if n_max > 1:
-        firsts = [(m, e) for m in range(exp_budget) for e in range(1, exp_budget - m + 1)]
+        firsts = [(m, e) for m in range(exp_budget) for e in range(1, exp_budget - m)]
     w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
     parts = _fork_map(partial(_walk, n_max, exp_budget), firsts, w, _first_block_names)
-    singles = [_hit([(m, e)], k0) for m, e, k0 in closing_blocks(START, exp_budget)]
+    singles = [_hit(path, k0) for path, k0 in _closing_lists(START, exp_budget, 1)]
     found = singles + [sol for part in parts for sol in part]
     return sorted(found, key=lambda sol: sol.candidate.n)
 

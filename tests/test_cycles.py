@@ -14,8 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import collatz_lab
-from collatz_lab import blocks, cli, cycles
-from collatz_lab.blocks import START, block_step, closing_blocks, decompose, make_block
+from collatz_lab import blocks, cli, cycles, sweeps
+from collatz_lab.blocks import START, block_step, decompose, make_block
 from collatz_lab.cycles import (
     CycleCandidate,
     _first_block_names,
@@ -233,8 +233,9 @@ def split_any_box(monkeypatch):
 
 
 def _firsts(budget):
-    """The first blocks of a walk with this budget, in walk order."""
-    return [(m, e) for m in range(budget) for e in range(1, budget - m + 1)]
+    """The first blocks of a walk with this budget, in walk order: the
+    children of the start, which leave room for one more block."""
+    return [(m, e) for m in range(budget) for e in range(1, budget - m)]
 
 
 @pytest.mark.usefixtures("split_any_box")
@@ -277,9 +278,11 @@ def _planted_hits_step(state, m, e):
 
 
 @pytest.mark.usefixtures("split_any_box")
-# (2, 45) has 1,035 first blocks, more than the claim pipe's tokens.
-@pytest.mark.parametrize("n_max,budget", [(3, 12), (4, 13), (2, 45)])
+# (2, 46) has 1,035 first blocks, more than the claim pipe's tokens.
+@pytest.mark.parametrize("n_max,budget", [(3, 12), (4, 13), (2, 46)])
 def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget, monkeypatch):
+    if n_max == 2:
+        assert len(_firsts(budget)) > sweeps._MAX_TOKENS
     expected = []
     for n in range(1, n_max + 1):
         for m_seq, e_seq in _param_lists(n, budget):
@@ -388,7 +391,7 @@ def _leaf_closures(state, budget):
     p, t, s = state
     found = []
     _lemma_by_steps(block_step)(p, t, 2 * (s + p) - t, budget, 1, (), found)
-    return [(m, e, k) for ((m, e),), k in found]
+    return found
 
 
 @given(
@@ -401,7 +404,7 @@ def test_closing_blocks_equal_every_last_block_stepped_and_divided(i, j, s, budg
     # A formal state: P a power of 2, T a power of 3 and any S, negative
     # ones included, so that W = 2S' + (P' - T') takes either sign.
     state = (2**i, 3**j, s)
-    assert list(closing_blocks(state, budget)) == _leaf_closures(state, budget)
+    assert blocks._closing_lists(state, budget, 1) == _leaf_closures(state, budget)
     for m in range(budget):
         ws = set()
         for e in range(1, budget - m + 1):
@@ -418,9 +421,9 @@ def test_closing_blocks_on_a_grid_of_small_states():
     powers = [(2**i, 3**j) for i in range(6) for j in range(5)]
     others = [(p, t) for p in range(1, 7) for t in (5, 10, 20)]
     states = [(p, t, s) for p, t in powers + others for s in range(-60, 61)]
-    got = {state: list(closing_blocks(state, 8)) for state in states}
+    got = {state: blocks._closing_lists(state, 8, 1) for state in states}
     assert got == {state: _leaf_closures(state, 8) for state in states}
-    formal = [(s, m, e) for s, found in got.items() if s[:2] in powers for m, e, _ in found]
+    formal = [(s, m, e) for s, found in got.items() if s[:2] in powers for ((m, e),), _ in found]
     negative = [(s, m, e) for s, m, e in formal if block_step(s, m, e)[0] < block_step(s, m, e)[1]]
     assert (len(formal), len(negative)) == (873, 373)
 
@@ -428,22 +431,23 @@ def test_closing_blocks_on_a_grid_of_small_states():
 def test_closing_blocks_from_the_start_are_the_single_block_solutions():
     # The single-block lemma is the last-block lemma's case n = 1.
     budget = 400
-    single = [(s.candidate.m_seq[0], s.candidate.e_seq[0], s.k0) for s in search_cycles_n1(budget, budget)]
-    within = [block for block in single if block[0] + block[1] <= budget]
-    assert list(closing_blocks(START, budget)) == within == [(0, 1, 0)]
+    single = [(tuple(zip(*s.candidate)), s.k0) for s in search_cycles_n1(budget, budget)]
+    within = [(path, k) for path, k in single if sum(path[0]) <= budget]
+    assert blocks._closing_lists(START, budget, 1) == within == [(((0, 1),), 0)]
 
 
 def test_a_vanishing_last_block_raises():
     # 3 * 2^(0+1) * 2^1 == 4 * 3^(0+1): the interval holds e = 1, D_1 = 0.
     with pytest.raises(IdentityViolation, match="^a power of 2 equalled a power of 3: 12$"):
-        list(closing_blocks((3, 4, 1), 1))
+        blocks._closing_lists((3, 4, 1), 1, 1)
 
 
 def test_the_lemma_steps_each_child_as_block_step_does(monkeypatch):
     # The lemma derives each child in its own coordinates, (P, T, Q) with
     # Q = 2(S + P) - T, from the quantities of its closing test.  Every node
     # that the walk of (4, 13) reaches, against block_step from its parent:
-    # the start's node holds the closing blocks of length 1.
+    # the start's node holds the closing blocks of length 1, and its
+    # children are the first blocks.
     nodes, real = [], blocks._lemma
 
     def recording(p, t, q, budget, depth, path, found):
@@ -456,18 +460,18 @@ def test_the_lemma_steps_each_child_as_block_step_does(monkeypatch):
     assert len(state) == len(nodes)
     for path, s, _, _ in nodes:
         assert s == (block_step(state[path[:-1]], *path[-1]) if path else START), path
-    # the first blocks, and below each node above the last depth every
-    # child (m, e) with m + e < budget, and no other node
+    # the start, and below each node above the last depth, the start
+    # included, every child (m, e) with m + e < budget, and no other node
     children = {
         path + ((m, e),)
         for path, _, budget, depth in nodes
-        if depth > 1
+        if depth > 1 or not path
         for m in range(budget)
         for e in range(1, budget - m)
     }
-    assert set(state) == {()} | {(first,) for first in _firsts(13)} | children
-    # the lists of 2 and 3 blocks that leave room for one more
-    assert len(children) == count_candidates(3, 12) - count_candidates(1, 12) == 6006
+    assert set(state) == {()} | children
+    # the lists of 1 to 3 blocks that leave room for one more
+    assert len(children) == count_candidates(3, 12) == 6084
 
 
 def _walk_every_leaf(n_max, exp_budget, pairs, first):
@@ -704,8 +708,9 @@ def test_planted_simulation_fault_surfaces(monkeypatch, capsys):
 @pytest.mark.usefixtures("split_any_box")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_planted_block_fault_fails_the_simulation(workers, monkeypatch, capsys):
-    # The closures come from closing_blocks, which never calls make_block,
-    # so only the replay of each solution through real blocks sees this.
+    # The closures come from the last-block lemma, which never calls
+    # make_block, so only the replay of each solution through real blocks
+    # sees this.
     def off_at_zero(k_in, _real=make_block):
         b = _real(k_in)
         return b._replace(k_out=b.k_out + 1) if k_in == 0 else b

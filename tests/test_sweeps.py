@@ -186,7 +186,6 @@ def test_sieve_survivors_are_built_once_per_limit():
     assert survivors == core._survivors_within.__wrapped__(1)
     assert len(survivors) == 32_768
     most = max(steps for _, _, steps in core._descent_steps().proven)
-    assert most == core._SIEVE_MOST_STEPS
     assert _sieve_survivors(most - 1) != _sieve_survivors(most)
     jumps = sorted(core._descent_steps().jumps)
     assert _sieve_survivors(DEFAULT_STEP_LIMIT) is _sieve_survivors(most)
