@@ -13,10 +13,9 @@ long orbit, so a call per step would cost more than the walk.  ``glide``,
 ``delay_sieve`` and ``drop_counterexample`` walk the descent rule (n falls
 below itself within a step limit).  ``_descent_steps``, the convergence
 sweep's sieve, proves it for every n >= 2 of all but 3.2% of the classes mod
-2^16, and gives each class it leaves a Terras jump over its first 16 shortcut
-steps, which ``drop_counterexample`` takes.  From there that kernel walks in
-chunks of 8 shortcut steps, one lookup in a 256-row table each, which the
-sieve's own one-bit refinement builds; near the limit it walks raw steps.
+2^16.  ``drop_counterexample`` walks each n it leaves in chunks of 8 shortcut
+steps from n, one lookup in a 256-row table each, which the sieve's own
+one-bit refinement builds; near the limit it walks raw steps.
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from .errors import DomainError, IdentityViolation, LimitExceeded
 DEFAULT_STEP_LIMIT = 100_000
 SIEVE_BITS = 16
 SIEVE_MODULUS = 1 << SIEVE_BITS
-_SIEVE_MASK = SIEVE_MODULUS - 1
 CHUNK_BITS = 8  # the shortcut steps of one chunk of the convergence walk
 _CHUNK_MASK = (1 << CHUNK_BITS) - 1
 
@@ -203,36 +201,26 @@ def drop_counterexample(n: int, step_limit: int = DEFAULT_STEP_LIMIT) -> tuple[s
     """Sweep-grade check that n falls below itself within ``step_limit``
     raw steps; None when it does.  The kernel of ``verify convergence``.
 
-    An n >= 1 whose class mod 2^16 has a jump in ``_descent_steps`` starts
-    its walk at T^16(n) = 3^c * a + T^16(b), with the 16 + c raw steps that
-    take n there counted, when they fit in the limit: none of them is below
-    n.  From there it walks in chunks of CHUNK_BITS shortcut steps: w goes
-    to 3^c(r) * (w >> 8) + T^8(r), r = w mod 2^8, in 8 + c(r) raw steps,
-    and a chunk that lands below n is a drop within the steps counted.  A
-    drop inside a chunk that climbs back above n before its end is found
-    at a later chunk, or not at all: so when the next chunk would pass the
-    limit, the raw walk from n decides, not a walk on from w.  It starts
-    at the jump's landing, whose steps from n are all at or above n.
-    Every other n walks from n, so the result, the value "still at"
-    included, is the raw walk's.
+    It walks from n in chunks of CHUNK_BITS shortcut steps, read from the
+    sieve's chunk table: w goes to 3^c(r) * (w >> 8) + T^8(r), r = w mod
+    2^8, in 8 + c(r) raw steps, and a chunk that lands below n is a drop
+    within the steps counted.  A drop inside a chunk that climbs back above
+    n before its end is found at a later chunk, or not at all: so when the
+    next chunk would pass the limit, the raw walk from n decides, not a
+    walk on from w.  The result, the value "still at" included, is the raw
+    walk's.
     """
-    v, done = n, 0
-    if n > 0:
-        sieve = _descent_steps()
-        jump = sieve.jumps.get(n & _SIEVE_MASK)
-        if jump is not None and jump[2] <= step_limit:
-            three_c, t, done = jump
-            v = three_c * (n >> SIEVE_BITS) + t
-            w, walked, chunks = v, done, sieve.chunks
-            while True:
-                three_c, t, steps = chunks[w & _CHUNK_MASK]
-                walked += steps
-                if walked > step_limit:
-                    break
-                w = three_c * (w >> CHUNK_BITS) + t
-                if w < n:
-                    return None
-    for _ in range(step_limit - done):
+    w, walked, chunks = n, 0, _descent_steps().chunks
+    while True:
+        three_c, t, steps = chunks[w & _CHUNK_MASK]
+        walked += steps
+        if walked > step_limit:
+            break
+        w = three_c * (w >> CHUNK_BITS) + t
+        if w < n:
+            return None
+    v = n
+    for _ in range(step_limit):
         v = 3 * v + 1 if v & 1 else v >> 1
         if v < n:
             return None
@@ -248,9 +236,9 @@ def count_unstopped_classes(k: int) -> int:
     k exactly once (Terras 1976), so this counts the lattice paths of k
     steps, each adding 0 or 1 to c, that keep 3^c > 2^j after every step j.
 
-    Not in ``__all__``: it sizes the sieve, whose jump classes mod 2^16
-    are the ones it counts (tests tie it to ``_descent_steps``), and would
-    size a deeper one.
+    Not in ``__all__``: it sizes the sieve, whose unstopped classes mod
+    2^16 are the ones it counts (tests tie it to ``_descent_steps``), and
+    would size a deeper one.
     """
     if k < 0:
         raise DomainError(f"k must be >= 0, got {k}")
@@ -268,16 +256,14 @@ class _Sieve(NamedTuple):
     """The descent sieve mod 2^K, K = SIEVE_BITS.  ``proven`` holds a
     (b, d, steps) for each class b mod 2^d whose every n >= 2 falls below n
     within ``steps`` raw steps, where no class mod 2^(d-1) holding it is
-    proven.  ``jumps`` maps each class mod 2^K left over to (3^c, T^K(b),
-    K + c), c the odd steps among its first K shortcut steps.  ``chunks``
-    holds the same triple (3^c, T^8(r), 8 + c) for each r < 2^8, 8 =
-    CHUNK_BITS, at index r: one chunk of the convergence walk.
-    ``most_steps`` is the most raw steps that a proven class needs."""
+    proven.  ``unstopped`` holds the classes mod 2^K left over, sorted.
+    ``chunks`` holds (3^c, T^8(r), 8 + c) for each r < 2^8, 8 = CHUNK_BITS,
+    at index r, c the odd steps among the first 8 shortcut steps of r: one
+    chunk of the convergence walk."""
 
     proven: tuple[tuple[int, int, int], ...]
-    jumps: dict[int, tuple[int, int, int]]
+    unstopped: tuple[int, ...]
     chunks: tuple[tuple[int, int, int], ...]
-    most_steps: int
 
 
 _POW3 = [3**c for c in range(max(SIEVE_BITS, CHUNK_BITS) + 1)]
@@ -308,13 +294,12 @@ def _descent_steps() -> _Sieve:
     steps among them.  A class b mod 2^d splits into b and b + 2^d, whose
     T^d are T^d(b) and T^d(b) + 3^c, and one more shortcut step of each
     gives T^j and c at j = d + 1.  While 3^c > 2^j, no n >= 1 of the class
-    has fallen below n, so it splits again; one left at depth K takes the
-    jump T^K(n) = 3^c * a + T^K(b), K + c raw steps (each odd shortcut
-    step is two).  At the first j with 3^c < 2^j, n - T^j(n) =
+    has fallen below n, so it splits again, and one left at depth K is
+    unstopped.  At the first j with 3^c < 2^j, n - T^j(n) =
     (2^j - 3^c)*a + b - T^j(b), so every n >= 2 of the class falls below n
-    within j + c raw steps if T^j(b) < b, or if b < 2 (then a >= 1 and
-    T^j(b) = b: 0 at j = 1, 1 at j = 2).  Any other class would stop
-    without a drop, which raises IdentityViolation.
+    within j + c raw steps (each odd shortcut step is two) if T^j(b) < b,
+    or if b < 2 (then a >= 1 and T^j(b) = b: 0 at j = 1, 1 at j = 2).  Any
+    other class would stop without a drop, which raises IdentityViolation.
 
     The chunk table is the same refinement, ``_split``, run CHUNK_BITS
     levels deep with no class stopped: T^8(r) and c for every r < 2^8.
@@ -338,22 +323,17 @@ def _descent_steps() -> _Sieve:
         chunks = _split(chunks, d)
     return _Sieve(
         proven=tuple(proven),
-        jumps={b: (_POW3[c], t, SIEVE_BITS + c) for b, t, c in level},
+        unstopped=tuple(sorted(b for b, _, _ in level)),
         chunks=tuple((_POW3[c], t, CHUNK_BITS + c) for _, t, c in sorted(chunks)),
-        most_steps=max(steps for *_, steps in proven),
     )
 
 
+@cache
 def _sieve_survivors(step_limit: int) -> tuple[int, ...]:
     """The classes mod 2^16 whose descent the sieve does not prove within
-    ``step_limit`` raw steps, sorted: the jump classes, and each class mod
-    2^16 inside a class proven in more steps than that.  Built once per
-    limit; from the sieve's ``most_steps`` up, they are the jump classes."""
-    return _survivors_within(min(step_limit, _descent_steps().most_steps))
-
-
-@cache
-def _survivors_within(step_limit: int) -> tuple[int, ...]:
+    ``step_limit`` raw steps, sorted: the unstopped classes, and each class
+    mod 2^16 inside a class proven in more steps than that.  Built once per
+    limit; where no proven class is late, the sieve's ``unstopped`` itself."""
     sieve = _descent_steps()
     late = [
         member
@@ -361,7 +341,7 @@ def _survivors_within(step_limit: int) -> tuple[int, ...]:
         if steps > step_limit
         for member in range(b, SIEVE_MODULUS, 1 << d)
     ]
-    return tuple(sorted([*sieve.jumps, *late]))
+    return tuple(sorted([*sieve.unstopped, *late])) if late else sieve.unstopped
 
 
 def _sieved_inputs(lo: int, hi: int, survivors: tuple[int, ...]) -> Iterable[int]:

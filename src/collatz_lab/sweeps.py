@@ -476,9 +476,9 @@ def verify_convergence(
 
     Only the n in classes mod 2^16 that ``core._descent_steps`` leaves
     within the step limit (about 3.2% of them at the default limit) are
-    iterated, most of them from a Terras jump over their first 16 shortcut
-    steps and then in chunks of 8; every other n is proven to fall below
-    itself by its class.  Where the limit falls inside a chunk, n is walked
-    raw from n, so the counterexamples are those of a raw walk from every n.
+    iterated, in Terras chunks of 8 shortcut steps from n; every other n is
+    proven to fall below itself by its class.  Where the limit falls inside
+    a chunk, n is walked raw from n, so the counterexamples are those of a
+    raw walk from every n.
     """
     return _verify("convergence", n_max, workers, step_limit)

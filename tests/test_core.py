@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from collatz_lab.core import (
+    DEFAULT_STEP_LIMIT,
     backward_tree,
     delay,
     delay_sieve,
@@ -179,6 +181,35 @@ def test_drop_rule_encodings_agree():
         least[limit] = failing[0] if failing else None
     # 703 has the longest glide below 5000, 132 steps, so both branches ran.
     assert least[1] == 3 and least[131] == 703 and least[132] is None
+
+
+def _raw_drops(n, limits):
+    """The convergence kernel's result for n at each of the sorted
+    ``limits``, from one raw walk that shares no code with it: None from
+    the first step below n on, and before it the value still reached."""
+    results, v, steps = {}, n, 0
+    for limit in limits:
+        while steps < limit and v >= n:
+            v = 3 * v + 1 if v % 2 else v // 2
+            steps += 1
+        results[limit] = (
+            None if v < n else ("a value below the start within the step limit", f"still at {v}")
+        )
+    return results
+
+
+def test_drop_kernel_returns_the_raw_walks_result():
+    # The whole return value, the "still at" value included, at limits
+    # inside and past the first chunks and at glide(27) = 96: for every n
+    # up to 5,000, where 1 and 2 never drop, and for seeded n of 64 to
+    # 4,096 bits.
+    limits = [*range(1, 41), 96, 97, 140, DEFAULT_STEP_LIMIT]
+    rng = random.Random(34)
+    bits = [rng.randint(64, 4096) for _ in range(1000)]
+    large = [rng.getrandbits(b) | 1 << (b - 1) for b in bits]
+    for n in [*range(1, 5001), *large]:
+        for limit, want in _raw_drops(n, limits).items():
+            assert drop_counterexample(n, limit) == want, (n, limit)
 
 
 def test_delay_domain_message():

@@ -14,7 +14,7 @@ from types import MappingProxyType
 import pytest
 
 import collatz_lab
-from collatz_lab import beta_chain, blocks, cli, core, polyline, residues
+from collatz_lab import beta_chain, blocks, cli, polyline, residues
 from collatz_lab.core import (
     CHUNK_BITS,
     DEFAULT_STEP_LIMIT,
@@ -50,8 +50,8 @@ from collatz_lab.sweeps import (
 def _raw_convergence(n_max, limits):
     """The counterexamples of the convergence sweep over [2, n_max] at each
     step limit of ``limits``, from one raw walk per n that shares no code
-    with the sieve or the jump: n fails at a limit when none of its first
-    that many raw steps is below n."""
+    with the sieve or the chunk table: n fails at a limit when none of its
+    first that many raw steps is below n."""
     rows = {limit: [] for limit in limits}
     top = max(limits)
     for n in range(2, n_max + 1):
@@ -120,29 +120,29 @@ def test_sieve_table_equals_a_brute_force_table():
     assert table[2:] == [steps for steps, _ in rows[2:]]
     assert table[:2] == [1, 3]
     unstopped = [b for b, (_, flag) in enumerate(rows) if flag]
-    assert sorted(sieve.jumps) == unstopped
+    assert list(sieve.unstopped) == unstopped
 
 
 def test_sieve_table_claims_hold():
     # Each proven class b mod 2^d really falls below its start within the
     # steps the table claims, for several a in n = 2^d * a + b >= 2, a = 0
-    # included where b >= 2.  Each jump's first 16 + c raw steps from
-    # n = 2^16 * a + b stay at or above n and land on 3^c * a + T^16(b).
+    # included where b >= 2.  Each unstopped class is rightly split to the
+    # end: n = 2^16 * a + b stays at or above n through its first 16
+    # shortcut steps.
     sieve = _descent_steps()
     many = (0, 1, 2, 3, 5, 1000, 10**30 + 7)
     for b, d, steps in sieve.proven:
         for a in many[1:] if b < 2 else many:
             assert glide((a << d) + b) <= steps, (a, b, d)
-    for b, (three_c, t, raw_steps) in sieve.jumps.items():
+    for b in sieve.unstopped:
         for a in many:
             n = v = SIEVE_MODULUS * a + b
-            for _ in range(raw_steps):
-                v = 3 * v + 1 if v & 1 else v >> 1
+            for _ in range(SIEVE_BITS):
+                v = (3 * v + 1) >> 1 if v & 1 else v >> 1
                 assert v >= n, (a, b)
-            assert v == three_c * a + t, (a, b)
-    # The classes 0 and 1 have no jump: each of their n > 1 falls below
-    # itself within 16 shortcut steps.
-    assert {0, 1}.isdisjoint(sieve.jumps)
+    # The classes 0 and 1 are not unstopped: each of their n > 1 falls
+    # below itself within 16 shortcut steps.
+    assert {0, 1}.isdisjoint(sieve.unstopped)
     assert glide(SIEVE_MODULUS) == 1 and glide(SIEVE_MODULUS + 1) == 3
 
 
@@ -163,7 +163,7 @@ def test_unstopped_classes_are_counted_exactly(k, brute):
     assert count_unstopped_classes(k) == brute
     assert sum(flag for _, flag in _brute_classes(k)) == brute
     if k == SIEVE_BITS:
-        assert len(_descent_steps().jumps) == brute
+        assert len(_descent_steps().unstopped) == brute
 
 
 def test_unstopped_class_count_domain():
@@ -180,16 +180,16 @@ def test_sieve_survivor_share():
 
 def test_sieve_survivors_are_built_once_per_limit():
     # 32,768 classes at limit 1, which a sweep would otherwise sort anew on
-    # each call; every limit from the sieve's most steps up shares one entry.
+    # each call; every limit from the sieve's most steps up shares the
+    # sieve's own tuple of unstopped classes.
     survivors = _sieve_survivors(1)
     assert _sieve_survivors(1) is survivors
-    assert survivors == core._survivors_within.__wrapped__(1)
+    assert survivors == _sieve_survivors.__wrapped__(1)
     assert len(survivors) == 32_768
-    most = max(steps for _, _, steps in core._descent_steps().proven)
+    most = max(steps for _, _, steps in _descent_steps().proven)
     assert _sieve_survivors(most - 1) != _sieve_survivors(most)
-    jumps = sorted(core._descent_steps().jumps)
     assert _sieve_survivors(DEFAULT_STEP_LIMIT) is _sieve_survivors(most)
-    assert list(_sieve_survivors(most)) == jumps
+    assert _sieve_survivors(DEFAULT_STEP_LIMIT) is _descent_steps().unstopped
 
 
 @pytest.mark.parametrize(
@@ -226,11 +226,16 @@ def test_sieved_convergence_equals_raw_at_small_limits(limit):
     _assert_raw_report(sieved, 2 * 10**5, limit, _raw_convergence(2 * 10**5, [limit])[limit])
 
 
-def test_sieved_convergence_equals_raw_across_the_jump_lengths():
-    # The raw lengths 16 + c of the jumps are 27 to 32, so at each limit
-    # from 24 to 34 some classes jump and some walk from n.  One raw walk
-    # per n serves every limit.
-    lengths = {raw_steps for *_, raw_steps in _descent_steps().jumps.values()}
+def test_sieved_convergence_equals_raw_across_the_first_two_chunks():
+    # The first two chunks from an unstopped class take 16 + c raw steps,
+    # 27 to 32, so at each limit from 24 to 34 some classes walk them and
+    # some decide by the raw walk from n.  One raw walk per n serves every
+    # limit.
+    chunks, rows = _descent_steps().chunks, 1 << CHUNK_BITS
+    lengths = set()
+    for b in _descent_steps().unstopped:
+        three_c, t, first = chunks[b % rows]
+        lengths.add(first + chunks[(three_c * (b >> CHUNK_BITS) + t) % rows][2])
     assert lengths == set(range(27, 33))
     limits = range(24, 35)
     raw = _raw_convergence(2 * 10**5, limits)
@@ -240,9 +245,10 @@ def test_sieved_convergence_equals_raw_across_the_jump_lengths():
         _assert_raw_report(sieved, 2 * 10**5, limit, raw[limit])
 
 
-def test_chunked_convergence_equals_raw_from_the_jumps_to_the_glide_records():
-    # From limit 33 on, every jump (27 to 32 raw steps) fits and its n walks
-    # in 8-step chunks; 140 passes glide(27) = 96 and glide(703) = 132.
+def test_chunked_convergence_equals_raw_past_the_first_two_chunks_to_the_glide_records():
+    # From limit 33 on, the first two chunks of every unstopped class (27 to
+    # 32 raw steps) fit and its n walks on in 8-step chunks; 140 passes
+    # glide(27) = 96 and glide(703) = 132.
     # Across these limits, some n drop inside the chunk that would pass the
     # limit, and some inside an earlier chunk that climbs back above n by
     # its end: the raw walk from n decides both.  One raw walk per n serves
