@@ -1,4 +1,5 @@
 import importlib
+import inspect
 import json
 import os
 import pkgutil
@@ -125,7 +126,8 @@ def test_help_exits_0(capsys):
     assert "collatz-lab" in capsys.readouterr().out
 
 
-WORKFLOW = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tests.yml"
+ROOT = Path(__file__).resolve().parent.parent
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def _workflow_invocations():
@@ -159,6 +161,20 @@ def test_ci_workflow_command_lines_parse(capsys):
             cli.build_parser().parse_args(argv)
         except cli.UsageError as exc:
             pytest.fail(f"{argv}: {exc}")
+
+
+def test_console_script_entry_point_resolves():
+    # The one thing ``pip install .`` reads that no other test does: the
+    # script's target in pyproject.toml, read as text, since Python 3.10 has
+    # no tomllib.  The generated script calls it with no arguments.
+    text = (ROOT / "pyproject.toml").read_text()
+    section = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    scripts = dict(re.findall(r'^(\S+)\s*=\s*"(.*)"$', section.group(1), re.M))
+    assert list(scripts) == ["collatz-lab"]
+    module, _, name = scripts["collatz-lab"].partition(":")
+    entry = getattr(importlib.import_module(module), name, None)
+    assert callable(entry), scripts
+    inspect.signature(entry).bind()
 
 
 def test_verify_passes_exit_0(capsys):

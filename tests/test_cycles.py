@@ -514,11 +514,12 @@ def _search_every_leaf(n_max, exp_budget):
 
 @pytest.mark.usefixtures("split_any_box")
 @pytest.mark.parametrize(
-    "n_max,budget", [(4, 15), (3, 19), (4, 13), (2, 28), (5, 11), (5, 16), (2, 40), (1, 120)]
+    "n_max,budget",
+    [(4, 15), (3, 19), (4, 13), (2, 28), (5, 11), (5, 16), (2, 40), (1, 120), (1, 447)],
 )
 def test_search_equals_the_walk_over_every_leaf(n_max, budget):
-    # The benchmark's cycle-search boxes, two wider ones and one of single
-    # blocks.
+    # The benchmark's cycle-search boxes, two wider ones and two of single
+    # blocks, the wider with 100,128 candidates.
     expected = _search_every_leaf(n_max, budget)
     assert len(expected) == n_max
     for workers in (1, 2, 3):

@@ -319,6 +319,12 @@ _PLANTED = {
         (partial(verify_blocks, 300), "make_block"),
         (partial(verify_blocks, 300, step_limit=20), None),
         (partial(verify_convergence, 5000, step_limit=20), None),
+        # At 25 the classes proven in 26 raw steps are walked too; 30 falls
+        # inside the first two chunks (27 to 32 raw steps); at 100 n walks in
+        # 8-step chunks and the raw walk decides at the limit.
+        (partial(verify_convergence, 2 * 10**5, step_limit=25), None),
+        (partial(verify_convergence, 2 * 10**5, step_limit=30), None),
+        (partial(verify_convergence, 2 * 10**5, step_limit=100), None),
         (partial(verify_transitions, 300), "transition_symbolic"),
         (partial(verify_beta_chains, 300), "solve_beta_chain_paper"),
         (partial(verify_polylines, 300), "t_closed_form"),
@@ -327,6 +333,9 @@ _PLANTED = {
         "blocks-planted-make-block",
         "blocks-step-limit-20",
         "convergence-step-limit-20",
+        "convergence-step-limit-25",
+        "convergence-step-limit-30",
+        "convergence-step-limit-100",
         "transitions-planted-transition-symbolic",
         "beta-chain-planted-solve-beta-chain-paper",
         "polyline-planted-t-closed-form",
