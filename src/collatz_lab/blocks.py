@@ -27,9 +27,10 @@ returns whether a real block balances one step; the blocks sweep kernel,
 cycle search (``cycles``) takes it once per first block.  The last-block
 lemma, derived from the step, finds the last blocks that close a state
 without taking each step, and steps a node's children, those that leave
-room for one more block, from the same quantities.  Every search enters
-it through ``_closing_lists``; at depth 1 that gives the last blocks
-that close one state.  The step also
+room for one more block, from the same quantities; below a first block it
+keeps to necklaces, the lists least among their rotations.  Every search
+enters it through ``_closing_lists``; at depth 1 that gives the last
+blocks that close one state.  The step also
 makes sense for *formal* parameter lists (m_j, e_j) that need not come
 from a real trajectory, for which (T * k_0 + S) / P need not be an
 integer; the cycle search exploits them.
@@ -149,12 +150,27 @@ def _vanished(p: int) -> IdentityViolation:
     return IdentityViolation(f"a power of 2 equalled a power of 3: {p}")
 
 
-def _lemma(p: int, t: int, q: int, budget: int, depth: int, path: Blocks, found: list) -> None:
+def _lemma(
+    p: int, t: int, q: int, budget: int, depth: int, path: Blocks, period: int, found: list
+) -> None:
     """The last-block lemma over a node (P, T, Q = 2*(S + P) - T) with
-    blocks ``path``: appends (path + ((m, e),), k_0) to ``found`` for each
-    last block that closes, in walk order within one length, and above
-    depth 1 walks each child with room for one more block by the module
-    global ``_lemma``, so a patched ``blocks._lemma`` reaches every node.
+    blocks ``path``, a prenecklace of Lyndon period ``period``: appends
+    (path + ((m, e),), k_0) to ``found`` for each last block that closes
+    the list as a necklace, in walk order within one length, and above
+    depth 1 walks each child that is a prenecklace with room for one more
+    block by the module global ``_lemma``, so a patched ``blocks._lemma``
+    reaches every node.
+
+    The necklace rule is Fredricksen, Kessler and Maiorana's (Ruskey,
+    Savage and Wang, J. Algorithms 13 (1992)), over blocks compared as
+    (m, e) pairs.  With t = len(path) the reference block is
+    a_(t+1-period), path[-period].  A child x is a prenecklace exactly
+    when x >= ref; its period stays ``period`` when x == ref and is t + 1
+    otherwise.  A closing list is a necklace when x > ref, or x == ref and
+    the period divides t + 1.  So the m loop starts at the reference's m,
+    and each list that closes is found once, as its least rotation.  The
+    start, with no blocks, counts as period 1 and reference (0, 1), the
+    least block, so any block may be stepped or closed there.
 
     With a = 3^(m+1), b = 2^(m+1) and (P', T', S') the step by (m, e),
     D_e = P' - T' = b*P*2^e - T*a, and the step gives
@@ -177,9 +193,12 @@ def _lemma(p: int, t: int, q: int, budget: int, depth: int, path: Blocks, found:
     later m closes, and at depth 1 the m loop stops.  Raises
     IdentityViolation where a D_e is 0.
     """
-    # T*a, a*Q and b*P at m = -1, each grown by one factor per m
-    ta, aq, bp = t, q, p
-    for m in range(budget):
+    ref_m, ref_e = path[-period] if path else (0, 1)
+    grown = len(path) + 1  # the period of a child above the reference
+    # T*a, a*Q and b*P at m = ref_m - 1, each grown by one factor per m
+    a = 3**ref_m
+    ta, aq, bp = t * a, q * a, p << ref_m
+    for m in range(ref_m, budget):
         ta *= 3
         aq *= 3
         bp <<= 1
@@ -200,6 +219,8 @@ def _lemma(p: int, t: int, q: int, budget: int, depth: int, path: Blocks, found:
         if last > room:
             last = room
         e = first
+        if m == ref_m and e <= ref_e:
+            e = ref_e if grown % period == 0 else ref_e + 1
         while e <= last:
             d = (bp << e) - ta
             if not d:
@@ -209,19 +230,25 @@ def _lemma(p: int, t: int, q: int, budget: int, depth: int, path: Blocks, found:
                 found.append((path + ((m, e),), k >> 1))
             e += 1
         if depth > 1:
-            for e in range(1, room):
+            e, child_period = 1, grown
+            if m == ref_m:
+                e, child_period = ref_e, period
+            for e in range(e, room):
                 pe = bp << e
-                _lemma(pe, ta, w + pe, room - e, depth - 1, path + ((m, e),), found)
+                _lemma(pe, ta, w + pe, room - e, depth - 1, path + ((m, e),), child_period, found)
+                child_period = grown
 
 
 def _closing_lists(state: State, budget: int, depth: int, path: Blocks = ()) -> list:
-    """Every list of 1 to ``depth`` more blocks, sum(m) + sum(e) <= budget,
-    that closes the state at an integer k_0 >= 0, as (path + the list, k_0),
-    from one ``_lemma`` per node, each length in walk order, m then e.
-    The state's P and T must be positive."""
+    """Every necklace of 1 to ``depth`` more blocks after ``path``,
+    sum(m) + sum(e) <= budget, that closes the state at an integer
+    k_0 >= 0, as (path + the list, k_0), from one ``_lemma`` per node,
+    each length in walk order, m then e.  ``path`` holds at most one
+    block, so its period is 1; with none, every list of one block is a
+    necklace.  The state's P and T must be positive."""
     p, t, s = state
     found: list[tuple[Blocks, int]] = []
-    _lemma(p, t, 2 * (s + p) - t, budget, depth, path, found)
+    _lemma(p, t, 2 * (s + p) - t, budget, depth, path, 1, found)
     return found
 
 

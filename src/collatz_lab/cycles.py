@@ -20,17 +20,24 @@ included, where it reads
 The bracket never vanishes, as no power of 2 equals a power of 3; every
 closure here raises ``IdentityViolation`` where it would.
 
-``search_cycles`` walks its parameter box exhaustively, depth first.  A
-node is a list of blocks with its state and the budget left.  One loop
-over m per node, the last-block lemma of ``blocks``, tests only the e
-that can close under the node's state and steps, from the same
-quantities, the children that leave room for one more block.  ``START``
-is such a node: its last blocks are the solutions of length 1, and its
-children are the first blocks.  A box large enough to repay a fork is
-walked on the fork engine of ``sweeps``, one first block per item; the
-solutions come back in walk order, so the result does not depend on the
-worker count.  ``search_cycles_n1`` is the lemma's case n = 1: the last
-blocks that close ``START`` and fall in its box.
+``search_cycles`` covers its parameter box exhaustively.  A rotation of a
+list is the same cycle read from another beta, so a depth-first walk
+visits only the prenecklaces, prefixes of lists that are least among
+their rotations, and finds each closing list once, as its necklace.  A
+node is a prenecklace with its state, its Lyndon period and the budget
+left.  One loop over m per node, the last-block lemma of ``blocks``,
+tests only the e that can close under the node's state and the necklace
+rule, and steps, from the same quantities, the children that are
+prenecklaces with room for one more block.  ``START`` is such a node: its
+last blocks are the solutions of length 1, and its children are the first
+blocks.  Each closing necklace is expanded into its distinct rotations,
+each solved again by ``cycle_equation_general``, and the solutions are
+sorted by length, then in lexicographic order of (m_1, e_1, m_2, ...), so
+the result is that of a walk over every list.  A box large enough to
+repay a fork is walked on the fork engine of ``sweeps``, one first block
+per item, and the sort makes the result the same at any worker count.
+``search_cycles_n1`` is the lemma's case n = 1: the last blocks that
+close ``START`` and fall in its box.
 
 A closing list is *simulated* against the genuine block decomposition; a
 formal solution that the map itself does not follow is returned with
@@ -44,7 +51,7 @@ from functools import partial
 from math import comb
 from typing import NamedTuple, Sequence
 
-from .blocks import START, _blocks_from, _closing_lists, _vanished, block_state
+from .blocks import START, Blocks, _blocks_from, _closing_lists, _vanished, block_state
 from .blocks import block_step as _extend  # the first-block step; a patch reaches it
 from .errors import DomainError
 from .sweeps import _fork_map, resolve_workers
@@ -134,12 +141,11 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     return [_hit([(m, e)], k0) for ((m, e),), k0 in lasts if m <= m_max and e <= e_max]
 
 
-# A candidate costs 0.1 to 0.7 us and a fork 2 to 3 ms.  On a 2-vCPU host
-# 2 workers have lost to 1 on every box below 100,000 candidates on one
-# day, beaten it from 80,788 candidates up on another, and lost up to
-# 127,920 on a third; (5, 16), 509,014 candidates, gains every time.  So
-# the search gives each worker at least this many candidates and walks a
-# smaller box in this process alone.
+# On the necklace walk a candidate costs 0.05 to 0.16 us and a fork 2 to
+# 3 ms.  On a 2-vCPU host, with every box forked, 2 workers lost to 1 at
+# (3, 19) and (4, 15), 80,788 and 96,646 candidates, and gained at
+# (5, 16), 509,014 candidates.  So the search gives each worker at least
+# this many candidates and walks a smaller box in this process alone.
 _MIN_SHARE = 50_000
 
 
@@ -147,12 +153,29 @@ def _first_block_names(claimed: Sequence[tuple[int, int]]) -> str:
     return "first blocks (m, e) " + ", ".join(map(str, claimed))
 
 
+def _solutions(lists: Sequence[tuple[Blocks, int]]) -> list[CycleSolution]:
+    """The solutions of closing necklaces, each with its other distinct
+    rotations.  A rotation is the same cycle read from another beta, so it
+    closes at an integer k0 exactly when the necklace does; each is solved
+    again by ``cycle_equation_general``, never assumed, and kept when its
+    k0 is an integer >= 0."""
+    found = []
+    for path, k0 in lists:
+        found.append(_hit(path, k0))
+        for turned in {path[i:] + path[:i] for i in range(1, len(path))} - {path}:
+            sol = cycle_equation_general(CycleCandidate(*map(tuple, zip(*turned))))
+            if sol.is_integer and sol.is_nonneg:
+                found.append(sol)
+    return found
+
+
 def _walk(n_max: int, exp_budget: int, first: tuple[int, int]) -> list[CycleSolution]:
-    """The solutions that start with block ``first``, each length in walk
-    order: the closing lists below its state, from the last-block lemma."""
+    """The solutions read from the necklaces that start with block
+    ``first``: the closing lists below its state, from the last-block
+    lemma, with their rotations."""
     m, e = first
     below = _closing_lists(_extend(START, m, e), exp_budget - m - e, n_max - 1, (first,))
-    return [_hit(path, k0) for path, k0 in below]
+    return _solutions(below)
 
 
 def search_cycles(
@@ -160,14 +183,20 @@ def search_cycles(
 ) -> list[CycleSolution]:
     """Exhaustive search over all lengths 1..n_max and parameter lists with
     sum(m) + sum(e) <= exp_budget; same filtering as search_cycles_n1.
+    The solutions are listed shortest first, each length in lexicographic
+    order of the interleaved tuple (m_1, e_1, m_2, e_2, ...).
 
-    One depth-first walk visits every list of every length, in
-    lexicographic order of the interleaved tuple (m_1, e_1, m_2, e_2, ...).
-    One m loop per node, the last-block lemma, finds the lists one block
-    longer that close and steps the children that leave room for another
+    A rotation of a list is the same cycle read from another beta, and
+    the box does not depend on the rotation, so one depth-first walk
+    visits only the prenecklaces, the prefixes of lists that are least
+    among their rotations, (m, e) pairs compared in order.  One m loop per
+    node, the last-block lemma, finds the necklaces one block longer that
+    close and steps the prenecklace children that leave room for another
     block, m + e below the node's budget.  ``START`` is the first node:
     its last blocks are the solutions of length 1, and its children, the
-    first blocks, are the walk's items.
+    first blocks, are the walk's items.  Each closing necklace is then
+    expanded into its distinct rotations, each solved again, and the whole
+    is sorted into the order above.
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of
@@ -175,12 +204,9 @@ def search_cycles(
     every worker, this process being worker 0, claims the next first block
     not yet walked, so a worker that falls behind walks fewer.  There are
     no more workers than one per ``_MIN_SHARE`` candidates, so a small box
-    forks nothing.  The engine returns each first block's solutions in
-    walk order, whoever walked it.  Each length's solutions come from nodes
-    of one depth, so one stable sort by length groups them shortest first,
-    each group in walk order, for any worker count.  Raises
-    ``SweepWorkerError`` when a child crashes, naming the first blocks it
-    claimed, the one it failed in last.
+    forks nothing.  The sort makes the result the same for any worker
+    count.  Raises ``SweepWorkerError`` when a child crashes, naming the
+    first blocks it claimed, the one it failed in last.
     """
     total = count_candidates(n_max, exp_budget)
     # the children (m, e) of START in walk order, as the lemma steps them;
@@ -190,9 +216,9 @@ def search_cycles(
         firsts = [(m, e) for m in range(exp_budget) for e in range(1, exp_budget - m)]
     w = min(resolve_workers(workers), max(1, total // _MIN_SHARE))
     parts = _fork_map(partial(_walk, n_max, exp_budget), firsts, w, _first_block_names)
-    singles = [_hit(path, k0) for path, k0 in _closing_lists(START, exp_budget, 1)]
+    singles = _solutions(_closing_lists(START, exp_budget, 1))
     found = singles + [sol for part in parts for sol in part]
-    return sorted(found, key=lambda sol: sol.candidate.n)
+    return sorted(found, key=lambda sol: (sol.candidate.n, tuple(zip(*sol.candidate))))
 
 
 def count_candidates(n_max: int, exp_budget: int) -> int:

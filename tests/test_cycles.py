@@ -232,6 +232,15 @@ def split_any_box(monkeypatch):
     monkeypatch.setattr(cycles, "_MIN_SHARE", 1)
 
 
+def _least_rotation(pairs):
+    return min(pairs[i:] + pairs[:i] for i in range(len(pairs)))
+
+
+def _is_necklace(pairs):
+    """Is the list of (m, e) pairs the least of its rotations?"""
+    return pairs == _least_rotation(pairs)
+
+
 def _firsts(budget):
     """The first blocks of a walk with this budget, in walk order: the
     children of the start, which leave room for one more block."""
@@ -241,20 +250,26 @@ def _firsts(budget):
 @pytest.mark.usefixtures("split_any_box")
 @pytest.mark.parametrize(
     "n_max,budget",
-    [(n, b) for n in range(1, 5) for b in range(n, 14)] + [(5, 11), (2, 28), (3, 19), (4, 15)],
+    [(n, b) for n in range(1, 5) for b in range(n, 14)]
+    + [(5, 11), (2, 28), (3, 19), (4, 15), (2, 46), (6, 13), (3, 24)],
 )
 def test_search_is_the_same_at_one_two_and_three_workers(n_max, budget):
-    one = search_cycles(n_max, budget, workers=1)
-    assert search_cycles(n_max, budget, workers=2) == one
-    assert search_cycles(n_max, budget, workers=3) == one
+    # The necklace walk, expanded into rotations, against the slow paths,
+    # which divide every candidate or step every node of every list.
+    if n_max <= 4 and budget <= 13 or (n_max, budget) == (5, 11):
+        expected = [s for n in range(1, n_max + 1) for s in _per_candidate(n, budget)]
+    else:
+        expected = _search_every_leaf(n_max, budget)
+    for workers in (1, 2, 3):
+        assert search_cycles(n_max, budget, workers=workers) == expected, workers
 
 
 def _lemma_by_steps(step):
-    """``blocks._lemma`` as the walk had it before the last-block lemma:
-    every block within the budget is stepped by ``step``; those that close
-    are divided, and those that leave room for one more block are walked."""
+    """``blocks._lemma`` at the last depth, for a node with no blocks
+    before it, as it was before the last-block lemma: every last block
+    within the budget is stepped by ``step`` and divided."""
 
-    def lemma(p, t, q, budget, depth, path, found):
+    def lemma(p, t, q, budget, depth, path, period, found):
         state = (p, t, (q + t) // 2 - p)
         for m in range(budget):
             for e in range(1, budget - m + 1):
@@ -262,19 +277,46 @@ def _lemma_by_steps(step):
                 k, r = divmod(cs, cp - ct)
                 if not r and k >= 0:
                     found.append((path + ((m, e),), k))
-                if depth > 1 and m + e < budget:
-                    cq = 2 * (cs + cp) - ct
-                    lemma(cp, ct, cq, budget - m - e, depth - 1, path + ((m, e),), found)
 
     return lemma
 
 
-def _planted_hits_step(state, m, e):
-    """The block step, but at every block with m + 2e divisible by 3 the
-    state closes at k0 = m: hits in every worker's share, where the true
-    step has them only below (0, 1)."""
-    p, t, s = block_step(state, m, e)
-    return (p, t, (p - t) * m) if (m + 2 * e) % 3 == 0 else (p, t, s)
+# The map x -> 3x + d for an odd d, read at its betas 4k + 2 through the
+# same blocks (m, e).  Its block map is the conjugate of 3x + 1's by
+# k -> d*k + (d - 1)/2, so its c is a*(d + 1)/2 - d*2^m - 2^(e+m), and
+# the lemma reads W = a*Q - d*b*P with Q = 2S + (d + 1)P - T and the
+# child's Q' = W + d*P'.  A rotation of one of its cycles is again a
+# cycle: 2k' + 1 = (a*(2k + 1) + d*(a - b)) / 2^(e+m+1) > 0 when
+# 2k + 1 > 0, and an integer when k is, as the fixed point's denominator
+# 2^E - 3^M is odd.  With d a product of small primes the box holds many
+# cycles besides the trivial one.
+_D = 5 * 7 * 11 * 13 * 17 * 19 * 23
+
+
+def _step_d(state, m, e):
+    """``block_step`` for the map 3x + _D."""
+    p, t, s = state
+    a = 3 ** (m + 1)
+    c = a * (_D + 1) // 2 - _D * (1 << m) - (1 << (e + m))
+    return p << (e + m + 1), t * a, s * a + c * p
+
+
+def _closing_lists_d():
+    """``blocks._closing_lists`` over the real ``_lemma``, necklace rule
+    and period included, with the three terms of 3x + 1 made those of
+    3x + _D."""
+    namespace = dict(vars(blocks), _D=_D)
+    edits = {
+        "_lemma": [("w = aq - bp\n", "w = aq - _D * bp\n"), ("w + pe", "w + _D * pe")],
+        "_closing_lists": [("2 * (s + p) - t", "2 * s + (_D + 1) * p - t")],
+    }
+    for name, pairs in edits.items():
+        source = inspect.getsource(getattr(blocks, name))
+        for old, new in pairs:
+            assert source.count(old) == 1, old
+            source = source.replace(old, new)
+        exec(source, namespace)
+    return namespace["_closing_lists"]
 
 
 @pytest.mark.usefixtures("split_any_box")
@@ -288,22 +330,29 @@ def test_planted_hits_come_back_in_walk_order_at_any_worker_count(n_max, budget,
         for m_seq, e_seq in _param_lists(n, budget):
             state = START
             for m, e in zip(m_seq, e_seq):
-                state = _planted_hits_step(state, m, e)
+                state = _step_d(state, m, e)
             p, t, s = state
             q, r = divmod(s, p - t)
             if not r and q >= 0:
                 expected.append((CycleCandidate(m_seq, e_seq), q))
     # The walk steps each first block by cycles._extend and takes every
-    # other node and every closure from blocks._lemma, so the planted step
-    # goes into both.
-    monkeypatch.setattr(cycles, "_extend", _planted_hits_step)
-    monkeypatch.setattr(blocks, "_lemma", _lemma_by_steps(_planted_hits_step))
+    # other node and every closure from the lemma; the rotations are solved
+    # by cycle_equation_general, which folds blocks.block_step.
+    monkeypatch.setattr(cycles, "_extend", _step_d)
+    monkeypatch.setattr(cycles, "_closing_lists", _closing_lists_d())
+    monkeypatch.setattr(blocks, "block_step", _step_d)
     monkeypatch.setattr(cycles, "_simulate", lambda c, k0: False)
     for workers in (1, 2, 3):
         got = [(s.candidate, s.k0) for s in search_cycles(n_max, budget, workers=workers)]
         assert got == expected, workers
-    assert len({c.m_seq[0] for c, _ in expected}) > 3
+    k0 = {tuple(zip(*c)): k for c, k in expected}
+    # the walk finds the necklaces, in more than 3 first blocks
+    assert len({pairs[0] for pairs in k0 if len(pairs) > 1 and _is_necklace(pairs)}) > 3
     assert len([c for c, _ in expected if c.n == n_max]) > 3  # hits at the last depth
+    # and the other rotations, each with a k0 of its own, come from the expansion
+    turned = [pairs for pairs in k0 if not _is_necklace(pairs)]
+    assert len(turned) > 3
+    assert all(k0[pairs] != k0[_least_rotation(pairs)] for pairs in turned)
 
 
 @pytest.mark.parametrize(
@@ -390,7 +439,7 @@ def _leaf_closures(state, budget):
     """Every last block within the budget, stepped and divided."""
     p, t, s = state
     found = []
-    _lemma_by_steps(block_step)(p, t, 2 * (s + p) - t, budget, 1, (), found)
+    _lemma_by_steps(block_step)(p, t, 2 * (s + p) - t, budget, 1, (), 1, found)
     return found
 
 
@@ -442,6 +491,16 @@ def test_a_vanishing_last_block_raises():
         blocks._closing_lists((3, 4, 1), 1, 1)
 
 
+def _lyndon_period(pairs):
+    """The length of the longest prefix of ``pairs`` that is strictly less
+    than each of its other rotations; 1 for no blocks."""
+    lyndon = [
+        i for i in range(1, len(pairs) + 1)
+        if all(pairs[:i] < pairs[j:i] + pairs[:j] for j in range(1, i))
+    ]
+    return max(lyndon, default=1)
+
+
 def test_the_lemma_steps_each_child_as_block_step_does(monkeypatch):
     # The lemma derives each child in its own coordinates, (P, T, Q) with
     # Q = 2(S + P) - T, from the quantities of its closing test.  Every node
@@ -450,28 +509,56 @@ def test_the_lemma_steps_each_child_as_block_step_does(monkeypatch):
     # children are the first blocks.
     nodes, real = [], blocks._lemma
 
-    def recording(p, t, q, budget, depth, path, found):
-        nodes.append((path, (p, t, (q + t) // 2 - p), budget, depth))
-        return real(p, t, q, budget, depth, path, found)
+    def recording(p, t, q, budget, depth, path, period, found):
+        nodes.append((path, (p, t, (q + t) // 2 - p), period))
+        return real(p, t, q, budget, depth, path, period, found)
 
     monkeypatch.setattr(blocks, "_lemma", recording)
     search_cycles(4, 13, workers=1)
-    state = {path: s for path, s, _, _ in nodes}
+    state = {path: s for path, s, _ in nodes}
     assert len(state) == len(nodes)
-    for path, s, _, _ in nodes:
+    for path, s, period in nodes:
         assert s == (block_step(state[path[:-1]], *path[-1]) if path else START), path
-    # the start, and below each node above the last depth, the start
-    # included, every child (m, e) with m + e < budget, and no other node
-    children = {
-        path + ((m, e),)
-        for path, _, budget, depth in nodes
-        if depth > 1 or not path
-        for m in range(budget)
-        for e in range(1, budget - m)
+        assert period == _lyndon_period(path), path
+    # the start, and the prenecklaces of 1 to 3 blocks that leave room for
+    # one more, and no other node: a list is a prenecklace, a prefix of a
+    # necklace, when it is the least rotation of itself followed by a block
+    # above every block of the box
+    above = ((13, 1),)
+    prenecklaces = {
+        pairs
+        for n in range(1, 4)
+        for m_seq, e_seq in _param_lists(n, 12)
+        if _is_necklace((pairs := tuple(zip(m_seq, e_seq))) + above)
     }
-    assert set(state) == {()} | children
-    # the lists of 1 to 3 blocks that leave room for one more
-    assert len(children) == count_candidates(3, 12) == 6084
+    assert set(state) == {()} | prenecklaces
+    # of the 6,084 lists of 1 to 3 blocks that leave room for one more
+    assert len(prenecklaces) == 2430
+
+
+def test_a_rotation_closes_exactly_when_the_list_does():
+    # The necklace walk finds each list that closes as its least rotation,
+    # so each rotation must agree on the integrality of k0 and, for an
+    # integer k0, on its sign and on the simulation.  A rotation is the same
+    # cycle read from another beta.  Across all lists of these boxes.
+    sols = {
+        tuple(zip(m_seq, e_seq)): cycle_equation_general(CycleCandidate(m_seq, e_seq))
+        for n, budget in [(1, 12), (2, 12), (3, 12), (4, 12), (5, 11)]
+        for m_seq, e_seq in _param_lists(n, budget)
+    }
+    signs_differ = 0
+    for pairs, sol in sols.items():
+        for i in range(1, len(pairs)):
+            turned = sols[pairs[i:] + pairs[:i]]
+            assert turned.is_integer == sol.is_integer, pairs
+            if sol.is_integer:
+                assert (turned.is_nonneg, turned.simulated_ok) == (sol.is_nonneg, sol.simulated_ok)
+            else:
+                signs_differ += turned.is_nonneg != sol.is_nonneg
+    # The sign of a k0 that is not an integer does differ between rotations,
+    # in 16,944 (list, rotation) pairs: nothing may prune on the sign of k0
+    # before its integrality.
+    assert (len(sols), signs_differ) == (26962, 16944)
 
 
 def _walk_every_leaf(n_max, exp_budget, pairs, first):
