@@ -141,11 +141,12 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     return [_hit([(m, e)], k0) for ((m, e),), k0 in lasts if m <= m_max and e <= e_max]
 
 
-# On the necklace walk a candidate costs 0.05 to 0.16 us and a fork 2 to
-# 3 ms.  On a 2-vCPU host, with every box forked, 2 workers lost to 1 at
-# (3, 19) and (4, 15), 80,788 and 96,646 candidates, and gained at
-# (5, 16), 509,014 candidates.  So the search gives each worker at least
-# this many candidates and walks a smaller box in this process alone.
+# On the necklace walk a candidate costs 0.05 to 0.16 us; a fork costs the
+# round trip that sweeps._FORK_PAYS_S records.  On a 2-vCPU host, with
+# every box forked, 2 workers lost to 1 at (3, 19) and (4, 15), 80,788 and
+# 96,646 candidates, and gained at (5, 16), 509,014 candidates.  So the
+# search gives each worker at least this many candidates and walks a
+# smaller box in this process alone.
 _MIN_SHARE = 50_000
 
 

@@ -29,10 +29,14 @@ that runs other threads (Python 3.12 and later warn).
 
 Each sweep takes a pure check function z -> None | (expected, actual) and
 scans a contiguous range.  With w workers the range is cut into 16*w
-contiguous spans, the engine's items, and the errors of a child name the
-spans it claimed.  The rows come back in span order, so the counterexample
-list is sorted by input and the report is byte-identical for any worker
-count: the worker count is a throughput knob, never a semantics knob.
+contiguous spans, and the errors of a child name the spans it claimed.  A
+fork pays only when the work it shares outweighs its cost, so on more than
+one worker the calling process first scans span 0 and times it: when that
+time for each other span comes to less than ``_FORK_PAYS_S`` it scans the
+other spans itself and forks nothing, else they are the engine's items.
+The rows come back in span order, so the counterexample list is sorted by
+input and the report is byte-identical for any worker count: the worker
+count is a throughput knob, never a semantics knob.
 ``cycles.search_cycles`` maps its walk over first blocks the same way; see
 there.
 
@@ -111,6 +115,14 @@ def _scan(check: CheckFn, inputs: InputsFn, lo: int, hi: int) -> list[tuple[str,
 # worker that falls behind leaves its unclaimed spans to the others, few
 # enough that the claims and each span's own pickled rows cost little.
 _SPANS_PER_WORKER = 16
+
+# A fork round trip: on a 2-vCPU host a _fork_map of 32 no-op items took
+# 1.7 to 2.5 ms at w = 2, more in a larger process, against 3 us at w = 1
+# (medians of 60 calls, Python 3.11).  On two workers a fork saves at most
+# half the work left after span 0, so run_sweep forks only when it projects
+# that work, span 0's time for each other span, at twice a 2.5 ms round
+# trip or more.  The spans are of even width, so span 0 is a fair sample.
+_FORK_PAYS_S = 0.005
 
 
 def _spans(lo: int, hi: int, pieces: int) -> list[Span]:
@@ -334,22 +346,35 @@ def run_sweep(
     ``inputs(a, b)`` yields, in increasing order, the inputs of each span
     [a, b) that need a check; the caller vouches for the others.  The
     report counts all of [lo, hi) as checked.  The range is cut into
-    16 * workers spans; this process and the forked children claim them one
-    at a time and the rows come back in span order, so the report does not
-    depend on the worker count; see the module docstring.  On one worker,
-    and where ``os.fork`` is missing, this process scans every span and
-    forks nothing.  ``check`` and ``inputs`` reach the children by fork, so
-    they may be lambdas or closures; only the rows are pickled.  Raises
-    ``SweepWorkerError`` naming the spans a child claimed, the one it failed
-    in last, when the child crashes, and whatever ``check`` raised, in this
-    process or a child.
+    16 * workers spans.  On more than one worker this process scans span 0
+    and times it; when that time for each other span comes to less than
+    ``_FORK_PAYS_S`` it scans the rest too, else it and the forked children
+    claim them one at a time.  The rows come back in span order, so the
+    report does not depend on the worker count; see the module docstring.
+    On one worker, and where ``os.fork`` is missing, this process scans
+    every span and forks nothing.  ``check`` and ``inputs`` reach the
+    children by fork, so they may be lambdas or closures; only the rows are
+    pickled.  Raises ``SweepWorkerError`` naming the spans a child claimed,
+    the one it failed in last, when the child crashes, and whatever
+    ``check`` raised, in this process or a child.
     """
     if hi < lo:
         raise DomainError(f"empty-range sweep: [{lo}, {hi})")
     w = resolve_workers(workers)
     start = time.perf_counter()
     spans = _spans(lo, hi, _SPANS_PER_WORKER * w)
-    parts = _fork_map(lambda span: _scan(check, inputs, *span), spans, w, _span_names)
+
+    def scan(span: Span) -> list[tuple[str, str, str]]:
+        return _scan(check, inputs, *span)
+
+    parts: list[list[tuple[str, str, str]]] = []
+    if w > 1 and spans:
+        first = time.perf_counter()
+        parts.append(scan(spans[0]))
+        if (time.perf_counter() - first) * (len(spans) - 1) < _FORK_PAYS_S:
+            w = 1  # too little work left to repay a fork
+        spans = spans[1:]
+    parts += _fork_map(scan, spans, w, _span_names)
     rows = [Counterexample._make(row) for part in parts for row in part]
     elapsed_ms = int((time.perf_counter() - start) * 1000)
     return VerificationReport(

@@ -377,6 +377,22 @@ def test_each_search_worker_gets_at_least_a_min_share(box, workers, forks, monke
     assert len(forked) == forks
 
 
+def test_the_ci_search_box_forks_on_two_cpus(monkeypatch, capsys):
+    # CI's console-script step runs this box as a forked search whose claims
+    # come in runs: 195,661 candidates give two workers a _MIN_SHARE each,
+    # and its 1,035 first blocks leave more than _MAX_TOKENS to claim.
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    forks, real_fork = [], os.fork
+    writes, real_write = [], os.write
+    monkeypatch.setattr(os, "fork", lambda: forks.append(None) or real_fork())
+    monkeypatch.setattr(os, "write", lambda fd, b: writes.append(len(b)) or real_write(fd, b))
+    assert cli.run(["cycles", "search", "--n-max", "2", "--budget", "46"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([line for line in lines if line.startswith("cycle: ")]) == 2
+    assert len(_firsts(46)) == 1035 and len(forks) == 1
+    assert writes == [sweeps._INDEX * sweeps._MAX_TOKENS]
+
+
 def _n1_by_e_loop(m_max, e_max):
     """search_cycles_n1 as it was before the single-block lemma: a
     division for every (m, e) of the box."""

@@ -95,6 +95,17 @@ def test_command_loads_only_what_it_runs(argv, also_unused):
     assert sorted(loaded & (_NEVER | also_unused)) == []
 
 
+def test_a_sweep_that_runs_inline_on_two_workers_loads_no_fork_machinery():
+    # The clock stands still, so the first span projects no work to repay a
+    # fork and the sweep runs inline, however loaded the host.
+    code = "import time\ntime.perf_counter = lambda: 0.0\n" + _run_code(
+        ["verify", "transitions", "--max", "300", "--workers", "2"]
+    )
+    loaded = _modules_after(code)
+    assert "collatz_lab.sweeps" in loaded
+    assert sorted(loaded & _NEVER) == []
+
+
 def test_verify_blocks_loads_neither_cycles_nor_fractions():
     # The blocks sweep is the one command that needs ``blocks``; the cycle
     # closure and its Fraction stay in ``cycles``, and the chain it builds on

@@ -1,5 +1,6 @@
 import errno
 import importlib
+import itertools
 import os
 import re
 import signal
@@ -31,6 +32,7 @@ from collatz_lab.errors import DomainError, IdentityViolation, SweepWorkerError
 from collatz_lab.report import Counterexample, export_report
 from collatz_lab.sweeps import (
     SWEEPS,
+    _FORK_PAYS_S,
     _INDEX,
     _MAX_TOKENS,
     _SPANS_PER_WORKER,
@@ -313,6 +315,7 @@ _PLANTED = {
 }
 
 
+@pytest.mark.usefixtures("force_fork")
 @pytest.mark.parametrize(
     "sweep, planted",
     [
@@ -352,8 +355,20 @@ def test_faults_fail_alike_on_one_and_two_workers(sweep, planted, monkeypatch):
     assert _json_without_elapsed(one) == _json_without_elapsed(two)
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 300])
-def test_reports_match_at_one_two_and_three_workers(n):
+_REPORT_TOPS = (1, 2, 7, 300, 10**4)
+
+
+# By default each sweep forks as its first span projects: at 10^4 most of
+# them fork and below it most run inline.  Forced, every sweep of more than
+# two spans forks, including those with fewer spans than workers.
+@pytest.mark.parametrize(
+    "n, forced",
+    [(n, False) for n in _REPORT_TOPS] + [(n, True) for n in _REPORT_TOPS],
+    ids=[str(n) for n in _REPORT_TOPS] + [f"{n}-forced" for n in _REPORT_TOPS],
+)
+def test_reports_match_at_one_two_and_three_workers(n, forced, request):
+    if forced:
+        request.getfixturevalue("force_fork")
     sweeps = [
         partial(verify_transitions, n),
         partial(verify_beta_chains, n),
@@ -368,6 +383,7 @@ def test_reports_match_at_one_two_and_three_workers(n):
         assert one == two == three
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_a_failure_heavy_sweep_matches_across_workers():
     # Thousands of rows cross the fork as plain tuples; each comes back a
     # Counterexample of three str, and the report does not depend on w.
@@ -379,6 +395,7 @@ def test_a_failure_heavy_sweep_matches_across_workers():
     assert one == two == three
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_lambda_check_runs_on_two_workers():
     # The check reaches the forked workers by inheritance, not by pickle.
     report = run_sweep("lambda", lambda z: (0, z) if z % 7 == 0 else None, 1, 100, workers=2)
@@ -392,6 +409,7 @@ def test_a_report_made_without_a_config_has_a_read_only_one():
     assert report.config == {}
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
     forks = []
 
@@ -400,8 +418,11 @@ def test_workers_beyond_the_range_fork_one_child_per_extra_input(monkeypatch):
         return _real()
 
     monkeypatch.setattr(os, "fork", counting_fork)
+    # Three inputs make three spans.  This process scans the first before
+    # it forks, and one child beside it takes the other two: no worker is
+    # forked for an input that another worker has.
     report = run_sweep("three", lambda z: (z, -z), 5, 8, workers=64)
-    assert len(forks) == 2
+    assert len(forks) == 1
     assert [c.input for c in report.counterexamples] == ["5", "6", "7"]
 
 
@@ -437,7 +458,7 @@ def test_without_fork_a_sweep_runs_on_one_worker(monkeypatch):
 
 
 def _fork_forbidden():
-    raise AssertionError("a one-worker sweep forked")
+    raise AssertionError("a call that should run inline forked")
 
 
 @pytest.mark.parametrize(
@@ -447,6 +468,57 @@ def _fork_forbidden():
 def test_one_worker_forks_nothing(sweep, monkeypatch):
     monkeypatch.setattr(os, "fork", _fork_forbidden)
     assert sweep(300, workers=1).passed
+
+
+@pytest.mark.parametrize(
+    "sweep",
+    [verify_transitions, verify_beta_chains, verify_blocks, verify_polylines, verify_convergence],
+)
+def test_two_workers_fork_nothing_on_a_small_range(sweep, monkeypatch):
+    # Warm, each first span here projects the rest at 0.3 to 2.5 ms against
+    # the 5 ms threshold.  The clock stands still, so that a pause on a
+    # loaded host cannot push that over: the sweep projects no work at all,
+    # and it runs inline on two workers.
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    monkeypatch.setattr(os, "fork", _fork_forbidden)
+    assert sweep(300, workers=2).passed
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("share, forks", [(0.98, False), (1.02, True)], ids=["below", "past"])
+def test_a_sweep_forks_only_when_its_first_span_projects_past_the_threshold(
+    share, forks, workers, monkeypatch
+):
+    # A clock that moves one tick at each reading: the first span takes one
+    # tick, and its time for each other span projects this share of the
+    # threshold.
+    tick = share * _FORK_PAYS_S / (_SPANS_PER_WORKER * workers - 1)
+    one = _json_without_elapsed(run_sweep("sevens", _sevens, 1, 1000, workers=1))
+    clock = itertools.count(0.0, tick)
+    monkeypatch.setattr(time, "perf_counter", lambda: next(clock))
+    forked, real_fork = [], os.fork
+    monkeypatch.setattr(os, "fork", lambda: forked.append(None) or real_fork())
+    report = run_sweep("sevens", _sevens, 1, 1000, workers=workers)
+    assert len(forked) == (workers - 1 if forks else 0)
+    assert _json_without_elapsed(report) == one
+
+
+@pytest.mark.parametrize(
+    "exc", [IdentityViolation("planted"), KeyboardInterrupt()], ids=["raises", "interrupted"]
+)
+@pytest.mark.usefixtures("force_fork")
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
+def test_a_failing_first_span_forks_nothing(exc, monkeypatch):
+    # This process scans the first span before any fork, so a failure there
+    # leaves no child and no pipe, even where the sweep would fork.
+    open_fds = len(os.listdir("/proc/self/fd"))
+    monkeypatch.setattr(os, "fork", _fork_forbidden)
+    check = _planted(partial(_raise, exc), 3, in_child=False)
+    with pytest.raises(type(exc)):
+        run_sweep("failing", check, 0, 100, workers=2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
 def _planted(action, at, in_child=True, parent=os.getpid()):
@@ -470,11 +542,13 @@ def _kill_self():
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-# Spans [0, 100) at two workers.  The child runs the second span first, so
-# a fault planted there fails the child before it claims any other span.
-_CHILD_SPAN = _spans(0, 100, 2 * _SPANS_PER_WORKER)[1]
+# Spans [0, 100) at two workers.  This process scans the first span before
+# it forks and the second after, and the child runs the third span first,
+# so a fault planted there fails the child before it claims any other span.
+_CHILD_SPAN = _spans(0, 100, 2 * _SPANS_PER_WORKER)[2]
 
 
+@pytest.mark.usefixtures("force_fork")
 @pytest.mark.parametrize(
     "action, says",
     [
@@ -494,9 +568,10 @@ def test_crashed_worker_raises_and_names_its_spans(action, says):
 
 
 # verify transitions|polyline --max 300 at two workers: the child's first span.
-_CLI_CHILD_SPAN = _spans(1, 301, 2 * _SPANS_PER_WORKER)[1]
+_CLI_CHILD_SPAN = _spans(1, 301, 2 * _SPANS_PER_WORKER)[2]
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_crashed_worker_fails_the_cli(monkeypatch, capsys):
     crash = _planted(partial(os._exit, 3), _CLI_CHILD_SPAN[0])
 
@@ -512,6 +587,7 @@ def test_crashed_worker_fails_the_cli(monkeypatch, capsys):
     assert err == f"error: the worker for spans [{a}, {b}) exited with status 3\n"
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_worker_exception_keeps_its_type(monkeypatch):
     at = _CLI_CHILD_SPAN[0] + 5
     violate = _planted(partial(_raise, IdentityViolation(f"planted at {at}")), at)
@@ -531,6 +607,7 @@ def test_worker_exception_keeps_its_type(monkeypatch):
     assert "violating_transition_symbolic" in str(cause)
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_unpicklable_worker_exception_becomes_a_sweep_worker_error():
     class Local(Exception):  # a local class cannot be pickled
         pass
@@ -582,13 +659,16 @@ def test_a_crashed_worker_is_named_by_its_claims_the_failing_item_last(monkeypat
         os.waitpid(-1, os.WNOHANG)
 
 
-# At three workers over [0, 10^5), the first child starts with this input
-# and the test process scans _IN_PARENT itself.  When either fails, the
-# second child has not been reaped yet.
-_FIRST_CHILD_INPUT = _spans(0, 10**5, 3 * _SPANS_PER_WORKER)[1][0]
-_IN_PARENT = 3
+# At three workers over [0, 10^5), the test process scans the first span
+# before it forks and starts with _IN_PARENT after, and the first child
+# starts with the input after that span.  When either fails, the second
+# child has not been reaped yet.
+_SPANS_AT_THREE = _spans(0, 10**5, 3 * _SPANS_PER_WORKER)
+_IN_PARENT = _SPANS_AT_THREE[1][0]
+_FIRST_CHILD_INPUT = _SPANS_AT_THREE[2][0]
 
 
+@pytest.mark.usefixtures("force_fork")
 @pytest.mark.parametrize(
     "check, raises",
     [
@@ -606,6 +686,7 @@ def test_no_worker_outlives_a_failed_sweep(check, raises):
         os.waitpid(-1, os.WNOHANG)
 
 
+@pytest.mark.usefixtures("force_fork")
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="lists open fds from /proc")
 def test_a_failed_fork_leaves_no_child_and_no_pipe(monkeypatch):
     forks = []
@@ -625,6 +706,7 @@ def test_a_failed_fork_leaves_no_child_and_no_pipe(monkeypatch):
     assert len(os.listdir("/proc/self/fd")) == open_fds
 
 
+@pytest.mark.usefixtures("force_fork")
 def test_a_parallel_sweep_warns_nothing():
     # Python 3.12 and later warn when fork runs in a process with other
     # threads.  The warning comes from C, and an "error" filter does not
@@ -647,6 +729,7 @@ def test_import_loads_no_pool_machinery():
     assert proc.stdout == "[]\n"
 
 
+@pytest.mark.usefixtures("force_fork")
 @pytest.mark.parametrize("workers", [1, 2])
 def test_a_patched_kernel_reaches_verify(workers, monkeypatch, capsys):
     # The registry names each kernel, looked up on its module per call.
