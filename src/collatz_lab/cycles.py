@@ -31,13 +31,14 @@ rule, and steps, from the same quantities, the children that are
 prenecklaces with room for one more block.  ``START`` is such a node: its
 last blocks are the solutions of length 1, and its children are the first
 blocks.  Each closing necklace is expanded into its distinct rotations,
-each solved again by ``cycle_equation_general``, and the solutions are
-sorted by length, then in lexicographic order of (m_1, e_1, m_2, ...), so
-the result is that of a walk over every list.  A box large enough to
+every one solved by ``cycle_equation_general``, the necklace's k0 checked
+against the lemma's, and the solutions are sorted by length, then in
+lexicographic order of (m_1, e_1, m_2, ...), so the result is that of a
+walk over every list.  A box large enough to
 repay a fork is walked on the fork engine of ``sweeps``, one first block
 per item, and the sort makes the result the same at any worker count.
 ``search_cycles_n1`` is the lemma's case n = 1: the last blocks that
-close ``START`` and fall in its box.
+close ``START`` and fall in its box, solved the same way.
 
 A closing list is *simulated* against the genuine block decomposition; a
 formal solution that the map itself does not follow is returned with
@@ -53,7 +54,7 @@ from typing import NamedTuple, Sequence
 
 from .blocks import START, Blocks, _blocks_from, _closing_lists, _vanished, block_state
 from .blocks import block_step as _extend  # the first-block step; a patch reaches it
-from .errors import DomainError
+from .errors import DomainError, IdentityViolation
 from .sweeps import _fork_map, resolve_workers
 
 __all__ = [
@@ -90,12 +91,6 @@ def _simulate(c: CycleCandidate, k0: int) -> bool:
         if b.m != m or b.e != e:
             return False
     return b.k_out == k0
-
-
-def _hit(pairs: Sequence[tuple[int, int]], k0: int) -> CycleSolution:
-    """The solution for a list whose closure has integer fixed point k0 >= 0."""
-    c = CycleCandidate(tuple(m for m, _ in pairs), tuple(e for _, e in pairs))
-    return CycleSolution(c, Fraction(k0), True, True, _simulate(c, k0))
 
 
 def cycle_equation_general(c: CycleCandidate) -> CycleSolution:
@@ -138,7 +133,7 @@ def search_cycles_n1(m_max: int, e_max: int) -> list[CycleSolution]:
     if m_max < 1 or e_max < 1:
         raise DomainError(f"bounds must be >= 1, got ({m_max}, {e_max})")
     lasts = _closing_lists(START, m_max + min(e_max, m_max + 1), 1)
-    return [_hit([(m, e)], k0) for ((m, e),), k0 in lasts if m <= m_max and e <= e_max]
+    return _solutions([(((m, e),), k0) for ((m, e),), k0 in lasts if m <= m_max and e <= e_max])
 
 
 # On the necklace walk a candidate costs 0.05 to 0.16 us; a fork costs the
@@ -156,15 +151,19 @@ def _first_block_names(claimed: Sequence[tuple[int, int]]) -> str:
 
 def _solutions(lists: Sequence[tuple[Blocks, int]]) -> list[CycleSolution]:
     """The solutions of closing necklaces, each with its other distinct
-    rotations.  A rotation is the same cycle read from another beta, so it
-    closes at an integer k0 exactly when the necklace does; each is solved
-    again by ``cycle_equation_general``, never assumed, and kept when its
-    k0 is an integer >= 0."""
+    rotations, every one solved by ``cycle_equation_general``.  A rotation
+    is the same cycle read from another beta, so it closes at an integer k0
+    exactly when the necklace does, and it is kept when its k0 is an
+    integer >= 0.  Raises IdentityViolation, naming the list, where a
+    necklace's k0 is not the one the last-block lemma found."""
     found = []
     for path, k0 in lists:
-        found.append(_hit(path, k0))
-        for turned in {path[i:] + path[:i] for i in range(1, len(path))} - {path}:
+        for turned in {path[i:] + path[:i] for i in range(len(path))}:
             sol = cycle_equation_general(CycleCandidate(*map(tuple, zip(*turned))))
+            if turned == path and sol.k0 != k0:
+                raise IdentityViolation(
+                    f"the lemma's k0 = {k0} for {list(path)} is not the closure's {sol.k0}"
+                )
             if sol.is_integer and sol.is_nonneg:
                 found.append(sol)
     return found
@@ -196,8 +195,8 @@ def search_cycles(
     block, m + e below the node's budget.  ``START`` is the first node:
     its last blocks are the solutions of length 1, and its children, the
     first blocks, are the walk's items.  Each closing necklace is then
-    expanded into its distinct rotations, each solved again, and the whole
-    is sorted into the order above.
+    expanded into its distinct rotations, each solved by the closure, and
+    the whole is sorted into the order above.
 
     The walk is mapped over its first blocks on up to ``workers`` workers
     (else the CPUs this process may run on) by the fork engine of

@@ -19,8 +19,9 @@ gamma, with an eta), together with the boundary identities each shape
 asserts.  The evaluators are deliberately neutral: every boundary identity
 is reported as a separate check and the residual is returned as an exact
 rational, with no sign or feasibility claims baked in.  Some of the printed
-identities fail on honest inputs — that is a finding, not an error, so
-nothing here enforces them.
+identities fail on honest inputs, and the ``with_gamma`` head is 3 above
+the terms it stands for — findings, not errors, so nothing here enforces or
+corrects them.
 """
 
 from __future__ import annotations
@@ -132,7 +133,6 @@ class ShapeReport(NamedTuple):
     pattern: str
     boundaries: list[BoundaryCheck]
     residual: Fraction
-    tail: range
 
     @property
     def boundaries_hold(self) -> bool:
@@ -157,9 +157,7 @@ def _tail_sum(seq: Sequence[Point], tail: range) -> int:
     return total
 
 
-def shape_residual(
-    seq: Sequence[Point], pattern: str, tail: range | None = None
-) -> ShapeReport:
+def shape_residual(seq: Sequence[Point], pattern: str) -> ShapeReport:
     """Evaluate one shape's boundary identities and residual sum.
 
     The index conventions per pattern (n = len(seq), indices into seq):
@@ -171,9 +169,11 @@ def shape_residual(
       with_eta    seq[-1] beta, seq[0] eta, seq[1] alpha.
                   residual = x1/3 + 1 + tail over j in 2..n-2
 
-    ``tail`` overrides the summation bounds, since the default start index
-    is itself one of the conventions under scrutiny; each of its indices
-    must lie in range(len(seq)), else DomainError.  Boundary identities
+    The head stands for seq[0], seq[1] and, where the pattern names a class
+    there, seq[-1]; the tail sums the cycle residual's other terms.  So on
+    an honest window seq[-1] -> seq[0] -> seq[1] the residual is
+    ``cycle_residual(seq)``, plus 3 for ``with_gamma``, as a test pins for
+    every window with seq[-1] < 4*10^4.  Boundary identities
     are evaluated as printed and reported individually; several are known
     to fail on honest inputs, and callers get the verdicts either way.
     """
@@ -181,23 +181,19 @@ def shape_residual(
 
     if pattern not in _BOUNDARY_CLASSES:
         raise DomainError(f"unknown pattern {pattern!r}; expected one of {SHAPE_PATTERNS}")
-    min_len = 2 if pattern == "pure_ab" else 3
-    if len(seq) < min_len:
-        raise PatternMismatch(f"{pattern} needs at least {min_len} points, got {len(seq)}")
-    if tail is not None and not all(0 <= j < len(seq) for j in tail):
-        raise DomainError(f"tail {tail} has an index outside range({len(seq)}), the indices of seq")
+    classes = _BOUNDARY_CLASSES[pattern]
+    head_len = 2 if classes[-1] is None else 3  # how many points the head stands for
+    if len(seq) < head_len:
+        raise PatternMismatch(f"{pattern} needs at least {head_len} points, got {len(seq)}")
     for p in seq:
         from_polyline(p)
-    for i, want in zip((0, 1, -1), _BOUNDARY_CLASSES[pattern]):
+    for i, want in zip((0, 1, -1), classes):
         have = class_from_polyline(seq[i])
         if want is not None and have is not want:
             raise PatternMismatch(
                 f"{pattern} needs {want.ascii_name} at seq[{i}], got {have.ascii_name}"
             )
 
-    n = len(seq)
-    if tail is None:
-        tail = range(2, n if pattern == "pure_ab" else n - 1)
     x0, s0 = seq[0]
     x1, s1 = seq[1]
     xl, sl = seq[-1]
@@ -231,8 +227,8 @@ def shape_residual(
         ]
         head = Fraction(x1, 3) + 1
 
-    residual = head + _tail_sum(seq, tail)
-    return ShapeReport(pattern=pattern, boundaries=boundaries, residual=residual, tail=tail)
+    residual = head + _tail_sum(seq, range(2, len(seq) + 2 - head_len))
+    return ShapeReport(pattern=pattern, boundaries=boundaries, residual=residual)
 
 
 def polyline_counterexample(z: int) -> tuple[str, str] | None:

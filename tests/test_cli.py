@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import collatz_lab
-from collatz_lab import cli, cycles
+from collatz_lab import cli
 from collatz_lab.core import DEFAULT_STEP_LIMIT
 from collatz_lab.errors import DomainError
 from collatz_lab.report import Counterexample, VerificationReport, export_report
@@ -309,10 +309,10 @@ def test_worker_count_never_changes_results(tmp_path):
     assert a == b
 
 
+@pytest.mark.usefixtures("split_any_box")
 def test_cycles_search_is_the_same_on_one_and_two_cpus(monkeypatch, capsys):
-    # The search takes its worker count from the CPUs it may run on; let it
-    # split even this small box.
-    monkeypatch.setattr(cycles, "_MIN_SHARE", 1)
+    # The search takes its worker count from the CPUs it may run on; the
+    # fixture lets it split even this small box.
     forks, real_fork = [], os.fork
     monkeypatch.setattr(os, "fork", lambda: forks.append(cpus) or real_fork())
     exports, listings = [], []

@@ -18,6 +18,7 @@ from collatz_lab import blocks, cli, cycles, sweeps
 from collatz_lab.blocks import START, block_step, decompose, make_block
 from collatz_lab.cycles import (
     CycleCandidate,
+    CycleSolution,
     _first_block_names,
     count_candidates,
     cycle_equation_general,
@@ -58,6 +59,13 @@ def _per_candidate(n: int, budget: int) -> tuple:
 def _k_n1(m, e):
     """The fixed point of the single formal block (m, e)."""
     return cycle_equation_general(CycleCandidate((m,), (e,))).k0
+
+
+def _solution(pairs, k0):
+    """The solution of a list that a reference walk found closing at the
+    integer k0 >= 0, built without the search's closure."""
+    c = CycleCandidate(*map(tuple, zip(*pairs)))
+    return CycleSolution(c, Fraction(k0), True, True, cycles._simulate(c, k0))
 
 
 def test_k_n1_spots():
@@ -223,13 +231,6 @@ def test_n1_search_equals_per_candidate_closure():
         for e in range(1, 61)
     )
     assert search_cycles_n1(60, 60) == [s for s in sols if s.is_integer and s.is_nonneg]
-
-
-@pytest.fixture
-def split_any_box(monkeypatch):
-    """Let search_cycles give a worker fewer than _MIN_SHARE candidates, so
-    that small boxes run on the fork engine too."""
-    monkeypatch.setattr(cycles, "_MIN_SHARE", 1)
 
 
 def _least_rotation(pairs):
@@ -402,7 +403,7 @@ def _n1_by_e_loop(m_max, e_max):
             p, t, s = block_step(START, m, e)
             q, r = divmod(s, p - t)
             if not r and q >= 0:
-                found.append(cycles._hit([(m, e)], q))
+                found.append(_solution([(m, e)], q))
     return found
 
 
@@ -425,7 +426,9 @@ def test_n1_stops_near_m_max_whatever_e_max():
 @pytest.mark.parametrize("box", [(40, 40), (40, 10)])
 def test_n1_keeps_every_block_the_lemma_allows(box, monkeypatch):
     # A closure planted at the one e per m that the single-block lemma
-    # allows: a budget too small for some of them would lose a hit.
+    # allows: a budget too small for some of them would lose a hit.  The
+    # search solves each hit again by folding blocks.block_step, so the
+    # closure is planted there too.
     def e_of(m):
         return (3 ** (m + 1)).bit_length() - m - 1
 
@@ -434,6 +437,7 @@ def test_n1_keeps_every_block_the_lemma_allows(box, monkeypatch):
         return (p, t, (p - t) * m) if e == e_of(m) else (p, t, s)
 
     monkeypatch.setattr(blocks, "_lemma", _lemma_by_steps(step))
+    monkeypatch.setattr(blocks, "block_step", step)
     m_max, e_max = box
     got = [(s.candidate, s.k0) for s in search_cycles_n1(m_max, e_max)]
     want = [m for m in range(m_max + 1) if e_of(m) <= e_max]
@@ -590,7 +594,7 @@ def _walk_every_leaf(n_max, exp_budget, pairs, first):
             p, t, s = child
             q, r = divmod(s, p - t)
             if not r and q >= 0:
-                found.append(cycles._hit(path + [pair], q))
+                found.append(_solution(path + [pair], q))
             left = remaining - m - e
             if deeper and left:
                 path.append(pair)
@@ -641,6 +645,20 @@ def test_a_wrong_c_in_the_leaf_rule_loses_a_known_solution(monkeypatch):
     found = [s.candidate for s in search_cycles(3, 12, workers=1)]
     assert CycleCandidate((0, 0, 0), (1, 1, 1)) not in found
     assert found != [s.candidate for s in _search_every_leaf(3, 12)]
+
+
+def test_a_wrong_k0_from_the_lemma_fails_the_search(monkeypatch):
+    # The lemma decides which lists close; each solution's k0 comes from
+    # cycle_equation_general, which must agree with the lemma's.
+    real = blocks._closing_lists
+    monkeypatch.setattr(
+        cycles, "_closing_lists", lambda *a: [(path, k0 + 1) for path, k0 in real(*a)]
+    )
+    says = "^the lemma's k0 = 1 for {} is not the closure's 0$"
+    with pytest.raises(IdentityViolation, match=says.format(r"\[\(0, 1\), \(0, 1\)\]")):
+        search_cycles(3, 12, workers=1)
+    with pytest.raises(IdentityViolation, match=says.format(r"\[\(0, 1\)\]")):
+        search_cycles_n1(4, 4)
 
 
 def _planted_step(action, at, in_child=True, parent=os.getpid()):

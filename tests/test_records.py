@@ -27,7 +27,7 @@ from collatz_lab.sweeps import Sweep
 # The field order of each record when it was a dataclass.
 _FIELDS = {
     "BackwardTree": ("depth", "nodes"),
-    "ShapeReport": ("pattern", "boundaries", "residual", "tail"),
+    "ShapeReport": ("pattern", "boundaries", "residual"),
     "VerificationReport": ("command", "checked", "counterexamples", "elapsed_ms", "config"),
 }
 
